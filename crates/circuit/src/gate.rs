@@ -60,18 +60,71 @@ pub enum Gate {
     },
 }
 
+/// The one or two qubits a gate touches, held inline.
+///
+/// Dereferences to a `[usize]` slice and iterates by value, so walking a
+/// circuit gate by gate never allocates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GateQubits {
+    qubits: [usize; 2],
+    len: usize,
+}
+
+impl GateQubits {
+    fn one(q: usize) -> GateQubits {
+        GateQubits {
+            qubits: [q, q],
+            len: 1,
+        }
+    }
+
+    fn two(a: usize, b: usize) -> GateQubits {
+        GateQubits {
+            qubits: [a, b],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for GateQubits {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.qubits[..self.len]
+    }
+}
+
+impl IntoIterator for GateQubits {
+    type Item = usize;
+    type IntoIter = std::iter::Take<std::array::IntoIter<usize, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.qubits.into_iter().take(self.len)
+    }
+}
+
+impl<'a> IntoIterator for &'a GateQubits {
+    type Item = &'a usize;
+    type IntoIter = std::slice::Iter<'a, usize>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl Gate {
-    /// The qubits this gate touches (one or two entries).
+    /// The qubits this gate touches (one or two entries), without
+    /// allocating.
     #[must_use]
-    pub fn qubits(&self) -> Vec<usize> {
+    pub fn qubits(&self) -> GateQubits {
         match *self {
             Gate::H { q }
             | Gate::X { q }
             | Gate::Rz { q, .. }
             | Gate::Rx { q, .. }
-            | Gate::Measure { q } => vec![q],
-            Gate::Cx { control, target } => vec![control, target],
-            Gate::Swap { a, b } => vec![a, b],
+            | Gate::Measure { q } => GateQubits::one(q),
+            Gate::Cx { control, target } => GateQubits::two(control, target),
+            Gate::Swap { a, b } => GateQubits::two(a, b),
         }
     }
 
@@ -139,16 +192,25 @@ mod tests {
 
     #[test]
     fn qubit_lists() {
-        assert_eq!(Gate::H { q: 3 }.qubits(), vec![3]);
+        assert_eq!(*Gate::H { q: 3 }.qubits(), [3]);
         assert_eq!(
-            Gate::Cx {
+            *Gate::Cx {
                 control: 1,
                 target: 2
             }
             .qubits(),
-            vec![1, 2]
+            [1, 2]
         );
-        assert_eq!(Gate::Swap { a: 0, b: 4 }.qubits(), vec![0, 4]);
+        assert_eq!(*Gate::Swap { a: 0, b: 4 }.qubits(), [0, 4]);
+        // By-value and by-reference iteration see the same operands.
+        let qs = Gate::Cx {
+            control: 5,
+            target: 6,
+        }
+        .qubits();
+        assert_eq!(qs.into_iter().collect::<Vec<_>>(), vec![5, 6]);
+        assert_eq!((&qs).into_iter().copied().collect::<Vec<_>>(), vec![5, 6]);
+        assert_eq!(Gate::Measure { q: 2 }.qubits().into_iter().count(), 1);
     }
 
     #[test]

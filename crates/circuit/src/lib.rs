@@ -49,7 +49,7 @@ mod stats;
 pub use angle::Angle;
 pub use circuit::QuantumCircuit;
 pub use error::CircuitError;
-pub use gate::Gate;
+pub use gate::{Gate, GateQubits};
 pub use qaoa::{build_qaoa_circuit, build_qaoa_template, qaoa_cnot_count, rebind_coefficients};
 pub use qasm::to_qasm;
 pub use stats::CircuitStats;

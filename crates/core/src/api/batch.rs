@@ -7,10 +7,11 @@ use std::sync::{Arc, Mutex};
 use fq_ising::IsingModel;
 use fq_transpile::Device;
 
+use super::wire::problem_to_value;
 use super::{noise_model_sampling_error, Job, JobUnit, UnitOutput, UnitRole};
 use crate::executor::{auto_threads, execute_branch, par_collect, sample_branch};
 use crate::plan::{plan_execution_cached, CacheStats, ExecutionPlan, TemplateCache};
-use crate::store::{DiskStore, MemoryStore, TemplateStore, TieredStore};
+use crate::store::{DiskStore, KeyedDevice, MemoryStore, TemplateStore, TieredStore};
 use crate::{BranchOutcome, BranchSamples, FqError, JobResult, JobSpec};
 
 /// Runs many [`JobSpec`]s against one shared [`TemplateCache`],
@@ -76,7 +77,8 @@ pub struct BatchRunner {
     /// of the key, so memoization changes no output bit.
     tier_plans: Mutex<HashMap<String, Arc<ExecutionPlan>>>,
     /// Memoized `(model, device)` resolution for approximate-tier jobs,
-    /// keyed by the problem + device specs (same purity argument).
+    /// keyed by the problem + device specs (same purity argument; see
+    /// [`tier_memo_key`]).
     tier_resolved: Mutex<HashMap<String, Arc<(IsingModel, Device)>>>,
 }
 
@@ -85,6 +87,22 @@ pub struct BatchRunner {
 /// unbounded stream of distinct tier problems cannot grow them without
 /// limit (a clear only costs the next batch one re-plan per key).
 const TIER_MEMO_CAP: usize = 256;
+
+/// The tier-memo key of a spec's problem and device: their canonical
+/// wire bytes, or `None` for the exact tier, which never touches the
+/// memos. The wire form spells out every coefficient of an explicit
+/// model — unlike its `Debug`, which prints only the sizes — so two
+/// specs share a key exactly when they describe the same problem on the
+/// same device.
+fn tier_memo_key(spec: &JobSpec) -> Option<String> {
+    (!spec.config.tier.is_exact()).then(|| {
+        format!(
+            "{}|{}",
+            problem_to_value(&spec.problem).to_json(),
+            spec.device.name()
+        )
+    })
+}
 
 /// One planned execution unit: `job_index` into the spec slice plus the
 /// unit's role/config and its compiled plan.
@@ -192,8 +210,14 @@ impl BatchRunner {
     /// batches against one runner at once, warming each other's cache.
     pub fn run(&self, specs: &[JobSpec]) -> Vec<Result<JobResult, FqError>> {
         // Resolve specs in input order (problem materialization; memoized
-        // for approximate tiers, untouched for exact).
-        let jobs: Vec<Result<Job, FqError>> = specs.iter().map(|s| self.resolve_job(s)).collect();
+        // for approximate tiers, untouched for exact). Each spec's memo
+        // key is built once and serves both memos.
+        let keys: Vec<Option<String>> = specs.iter().map(tier_memo_key).collect();
+        let jobs: Vec<Result<Job, FqError>> = specs
+            .iter()
+            .zip(&keys)
+            .map(|(spec, key)| self.resolve_job(spec, key.as_deref()))
+            .collect();
 
         // Decompose resolved jobs into execution units.
         let mut pending: Vec<(usize, JobUnit)> = Vec::new();
@@ -216,7 +240,7 @@ impl BatchRunner {
                 let job = jobs[*job_index]
                     .as_ref()
                     .expect("only resolved jobs decompose into units");
-                self.plan_unit(&specs[*job_index], job, unit)
+                self.plan_unit(keys[*job_index].as_deref(), job, unit)
             });
 
         // Flatten planned units into the jobs×branches item space. A
@@ -242,7 +266,13 @@ impl BatchRunner {
             total_items += items;
         }
 
-        // Phase 2 — drain all branches of all jobs from one pool.
+        // Phase 2 — drain all branches of all jobs from one pool. A job's
+        // device fingerprint keys its branches' noise-table lookups, so it
+        // is hashed once per job rather than once per branch.
+        let devices: Vec<Option<KeyedDevice<'_>>> = jobs
+            .iter()
+            .map(|job| job.as_ref().ok().map(|job| KeyedDevice::new(&job.device)))
+            .collect();
         let threads = self.effective_threads(total_items);
         let branch_results: Vec<Result<BranchResult, FqError>> =
             par_collect(threads, total_items, |item| {
@@ -256,7 +286,7 @@ impl BatchRunner {
                     UnitRole::Baseline | UnitRole::Frozen => execute_branch(
                         plan,
                         branch,
-                        &job.device,
+                        devices[pu.job].expect("runnable units have jobs"),
                         &pu.unit.config,
                         job.branch_noise(),
                     )
@@ -309,18 +339,18 @@ impl BatchRunner {
     /// path. Approximate tiers memoize the `(model, device)` pair per
     /// (problem, device) spec so a sweep that varies only seed/tier pays
     /// problem materialization once; resolution is a pure function of
-    /// the spec, so the memo changes no output bit.
-    fn resolve_job(&self, spec: &JobSpec) -> Result<Job, FqError> {
-        if spec.config.tier.is_exact() {
+    /// the spec, so the memo changes no output bit. `key` is the spec's
+    /// [`tier_memo_key`].
+    fn resolve_job(&self, spec: &JobSpec, key: Option<&str>) -> Result<Job, FqError> {
+        let Some(key) = key else {
             return spec.to_job();
-        }
-        let key = format!("{:?}|{:?}", spec.problem, spec.device);
+        };
         let hit = {
             let memo = self
                 .tier_resolved
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            memo.get(&key).cloned()
+            memo.get(key).cloned()
         };
         let resolved = match hit {
             Some(r) => r,
@@ -333,7 +363,7 @@ impl BatchRunner {
                 if memo.len() >= TIER_MEMO_CAP {
                     memo.clear();
                 }
-                memo.insert(key, Arc::clone(&r));
+                memo.insert(key.to_string(), Arc::clone(&r));
                 r
             }
         };
@@ -352,24 +382,24 @@ impl BatchRunner {
     /// planning input — problem and device specs plus the config fields
     /// planning reads (`num_frozen`, `layers`, `hotspots`,
     /// `prune_symmetric`, `compile`; seed, `param_grid` and tier are
-    /// execution-time knobs, not planning inputs). `Debug` of `f64`
-    /// round-trips exactly, so the string key is injective. Racing
+    /// execution-time knobs, not planning inputs). The problem and device
+    /// enter as the job's [`tier_memo_key`] (their wire bytes; `None`
+    /// for exact) and the config fields through `Debug`, whose `f64`
+    /// form round-trips exactly, so the string key is injective. Racing
     /// threads may plan the same key twice; planning is pure, so either
     /// `Arc` yields identical bits.
     fn plan_unit(
         &self,
-        spec: &JobSpec,
+        key: Option<&str>,
         job: &Job,
         unit: &JobUnit,
     ) -> Result<Arc<ExecutionPlan>, FqError> {
-        if unit.config.tier.is_exact() {
+        let Some(key) = key else {
             return plan_execution_cached(&job.model, &job.device, &unit.config, &self.cache)
                 .map(Arc::new);
-        }
+        };
         let key = format!(
-            "{:?}|{:?}|{}|{}|{:?}|{}|{:?}",
-            spec.problem,
-            spec.device,
+            "{key}|{}|{}|{:?}|{}|{:?}",
             unit.config.num_frozen,
             unit.config.layers,
             unit.config.hotspots,
@@ -543,6 +573,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    // Regression: the tier memos once keyed explicit models by `Debug`,
+    // which prints only width, coupling count and offset, so the second
+    // of two same-sized models came back with the first one's result.
+    #[test]
+    fn same_sized_explicit_models_keep_their_own_tier_results() {
+        use fq_graphs::{gen, to_ising_pm1};
+        let a = to_ising_pm1(&gen::random_regular(10, 3, 1).unwrap(), 1);
+        let b = to_ising_pm1(&gen::random_regular(10, 3, 2).unwrap(), 2);
+        assert_eq!(
+            (a.num_vars(), a.num_couplings(), a.offset()),
+            (b.num_vars(), b.num_couplings(), b.offset())
+        );
+        assert_ne!(a, b);
+        let specs: Vec<JobSpec> = [a, b]
+            .into_iter()
+            .map(|model| {
+                JobBuilder::new()
+                    .ising(model)
+                    .device(DeviceSpec::IbmMontreal)
+                    .tier(crate::QosTier::Fast)
+                    .frozen()
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let batched = BatchRunner::new().run(&specs);
+        for (spec, got) in specs.iter().zip(&batched) {
+            assert_eq!(got.as_ref().unwrap(), &spec.run().unwrap());
+        }
+        assert_ne!(batched[0].as_ref().unwrap(), batched[1].as_ref().unwrap());
     }
 
     #[test]

@@ -272,7 +272,7 @@ fn error_model_from_value(v: &Value) -> Result<ErrorModel, FqError> {
     })
 }
 
-fn problem_to_value(problem: &ProblemSpec) -> Value {
+pub(crate) fn problem_to_value(problem: &ProblemSpec) -> Value {
     match problem {
         ProblemSpec::Ising(model) => {
             let mut pairs = vec![

@@ -1,10 +1,11 @@
 //! Phase 2 of the plan/execute pipeline: running an
 //! [`ExecutionPlan`]'s branches through an [`Executor`] backend.
 //!
-//! Every branch is an independent job — optimize its `(γ, β)`, instantiate
-//! its executable by angle-editing the plan's shared template (no
-//! recompilation), and evaluate the ideal/noisy expectations or sample the
-//! noisy device. Branch jobs never communicate, so they parallelize
+//! Every branch is an independent job — optimize its `(γ, β)`, then either
+//! evaluate the ideal/noisy expectations against the noise tables its
+//! template memoizes for all siblings, or angle-edit the template into the
+//! branch's executable (no recompilation) and sample the noisy device.
+//! Branch jobs never communicate, so they parallelize
 //! embarrassingly: [`ParallelExecutor`] fans them out across worker
 //! threads (scoped `std::thread` — the offline toolchain has no rayon,
 //! but the work-stealing loop below serves the same role), while
@@ -18,14 +19,15 @@ use fq_circuit::build_qaoa_circuit;
 use fq_ising::{OutputDistribution, Spin};
 use fq_sim::analytic::{expectation_from_terms_p1, PreparedP1};
 use fq_sim::{
-    fidelity_model, ising_expectation_from_terms, log_eps, noisy_expectation_from_lightcone,
-    noisy_expectation_from_terms, noisy_expectation_lightcone, sample_noisy, NoisySamplerConfig,
+    ising_expectation_from_terms, noisy_expectation_from_lightcone, noisy_expectation_from_terms,
+    sample_noisy, NoisySamplerConfig,
 };
-use fq_transpile::{Compiled, Device};
+use fq_transpile::Device;
 
 use crate::api::ErrorModel;
-use crate::pipeline::{metrics_of, polish_parameters_tiered, CircuitMetrics};
+use crate::pipeline::{polish_parameters_tiered, CircuitMetrics};
 use crate::plan::ExecutionPlan;
+use crate::store::KeyedDevice;
 use crate::{
     optimize_parameters_multilayer, optimize_parameters_prepared, FqError, FrozenQubitsConfig,
 };
@@ -94,8 +96,9 @@ pub trait Executor {
     fn name(&self) -> &'static str;
 
     /// Runs the analytic pipeline for every branch under an explicit
-    /// noise model: parameter optimization, template instantiation,
-    /// ideal + modelled-noisy expectations, EPS and circuit metrics.
+    /// noise model: parameter optimization, ideal + modelled-noisy
+    /// expectations, EPS and circuit metrics (the last three from the
+    /// template's shared noise tables).
     /// Outcomes are in branch order.
     ///
     /// # Errors
@@ -185,6 +188,7 @@ impl Executor for SequentialExecutor {
         config: &FrozenQubitsConfig,
         noise: NoiseEval,
     ) -> Result<Vec<BranchOutcome>, FqError> {
+        let device = KeyedDevice::new(device);
         (0..plan.num_branches())
             .map(|b| execute_branch(plan, b, device, config, noise))
             .collect()
@@ -266,6 +270,7 @@ impl Executor for ParallelExecutor {
         noise: NoiseEval,
     ) -> Result<Vec<BranchOutcome>, FqError> {
         let n = plan.num_branches();
+        let device = KeyedDevice::new(device);
         par_map(self.effective_threads(n), n, |b| {
             execute_branch(plan, b, device, config, noise)
         })
@@ -396,13 +401,13 @@ mod disjoint {
     }
 }
 
-/// The shared per-branch analytic job: optimize, instantiate from the
-/// template, evaluate. (`pub(crate)`: the batch engine drives branches
+/// The shared per-branch analytic job: optimize, evaluate against the
+/// template's noise tables. (`pub(crate)`: the batch engine drives branches
 /// directly through its flattened jobs×branches pool.)
 pub(crate) fn execute_branch(
     plan: &ExecutionPlan,
     branch: usize,
-    device: &Device,
+    device: KeyedDevice<'_>,
     config: &FrozenQubitsConfig,
     noise: NoiseEval,
 ) -> Result<BranchOutcome, FqError> {
@@ -437,28 +442,22 @@ pub(crate) fn execute_branch(
         }
         (None, None) => optimize_parameters_multilayer(model, p, config.param_grid)?,
     };
-    // Instantiate from the shared template: angle editing only, no
-    // layout/routing/scheduling work. The approximate tiers skip even
-    // the angle edit: nothing downstream of this point reads an angle —
-    // the noise models, EPS and metrics are all structure-only, and the
-    // template shares the branch's exact structure — so reusing the
-    // template's own compilation changes no output bit; it only saves
-    // the per-branch gate-list rewrite. They also fetch the template's
-    // memoized branch-invariant tables (cone fidelities, attenuation,
-    // EPS, metrics) instead of re-deriving them per branch — bit-equal
-    // by construction (see `TierDerived`), and the dominant per-branch
-    // cost outside the optimizer.
-    let edited;
-    let tier_derived;
-    let compiled: &Compiled = if let Some(em) = em.as_ref() {
-        let template = plan.template_for(branch);
-        tier_derived = Some(template.tier_derived(model, p, device, em.lightcone_depth)?);
-        template.compiled()
-    } else {
-        tier_derived = None;
-        edited = plan.template_for(branch).edit_for(model)?;
-        &edited
+    // Every tier reads the template's memoized branch-invariant tables
+    // (attenuation, cone fidelities, EPS, metrics) instead of re-deriving
+    // them per branch — bit-equal by construction (see `NoiseTables`).
+    // Nothing they hold reads an angle, so the analytic path never
+    // angle-edits the template; only sampling does. The exact tier walks
+    // every cone in full; the approximate tiers truncate at their
+    // contract's depth; the process-fidelity model reads no cone, so it
+    // asks for the depth-0 tables, whose cones cost one prefix pass.
+    let depth = match (noise, em.as_ref()) {
+        (NoiseEval::ProcessFidelity, _) => 0,
+        (NoiseEval::Lightcone, None) => usize::MAX,
+        (NoiseEval::Lightcone, Some(em)) => em.lightcone_depth,
     };
+    let tables = plan
+        .template_for(branch)
+        .noise_tables(model, p, device, depth)?;
     // The per-term expectations are computed once; the scalar ideal
     // expectation is assembled from them bit-identically instead of a
     // second full evaluation (the old two-call path recomputed every
@@ -475,24 +474,11 @@ pub(crate) fn execute_branch(
         let ev = ising_expectation_from_terms(model, &z, &zz)?;
         (ev, z, zz)
     };
-    let ev_noisy = match (noise, tier_derived.as_ref()) {
-        (NoiseEval::Lightcone, None) => {
-            noisy_expectation_lightcone(model, &z, &zz, compiled, device)?
+    let ev_noisy = match noise {
+        NoiseEval::Lightcone => {
+            noisy_expectation_from_lightcone(model, &z, &zz, &tables.fid, &tables.cones)?
         }
-        (NoiseEval::Lightcone, Some(d)) => {
-            noisy_expectation_from_lightcone(model, &z, &zz, &d.fid, &d.cones)?
-        }
-        (NoiseEval::ProcessFidelity, None) => {
-            let fid = fidelity_model(compiled, device);
-            noisy_expectation_from_terms(model, &z, &zz, &fid)?
-        }
-        (NoiseEval::ProcessFidelity, Some(d)) => {
-            noisy_expectation_from_terms(model, &z, &zz, &d.fid)?
-        }
-    };
-    let (eps_log, metrics) = match tier_derived.as_ref() {
-        Some(d) => (d.eps_log, d.metrics),
-        None => (log_eps(compiled, device), metrics_of(model, p, compiled)),
+        NoiseEval::ProcessFidelity => noisy_expectation_from_terms(model, &z, &zz, &tables.fid)?,
     };
     Ok(BranchOutcome {
         branch,
@@ -503,8 +489,8 @@ pub(crate) fn execute_branch(
         betas,
         ev_ideal,
         ev_noisy,
-        log_eps: eps_log,
-        metrics,
+        log_eps: tables.eps_log,
+        metrics: tables.metrics,
     })
 }
 
@@ -633,7 +619,14 @@ mod tests {
             };
             let plan = plan_execution(&parent, &device, &cfg).unwrap();
             for b in 0..plan.num_branches() {
-                let out = execute_branch(&plan, b, &device, &cfg, NoiseEval::Lightcone).unwrap();
+                let out = execute_branch(
+                    &plan,
+                    b,
+                    KeyedDevice::new(&device),
+                    &cfg,
+                    NoiseEval::Lightcone,
+                )
+                .unwrap();
                 let model = plan.branch(b).problem.model();
                 let old_ev = if p == 1 {
                     expectation_p1(model, out.gammas[0], out.betas[0]).unwrap()

@@ -18,8 +18,9 @@
 //! [`plan_execution`] freezes the hotspots, partitions the state space and
 //! compiles **one** [`CompiledTemplate`] per distinct sub-circuit shape
 //! (usually exactly one), and an [`Executor`] — sequential, or parallel
-//! across all cores — instantiates every branch by angle-editing the
-//! shared template. The public front door over that core is the **job
+//! across all cores — runs every branch on the shared template: analytic
+//! branches read its memoized noise tables, sampling branches angle-edit
+//! it. The public front door over that core is the **job
 //! API** in [`api`]:
 //!
 //! * [`api::JobBuilder`] → [`api::JobSpec`] → [`api::JobResult`] — typed,

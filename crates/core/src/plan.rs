@@ -6,10 +6,11 @@
 //! (§3.3): planning exploits that by compiling **one**
 //! [`CompiledTemplate`] per distinct sub-circuit shape — in the common
 //! case exactly one for the whole plan — instead of one compile per
-//! branch. Phase 2 (an [`Executor`](crate::Executor)) then instantiates
-//! each branch by angle-editing the shared template, so the quantum
-//! compile cost of the `m` knob is `O(1)` rather than `O(2^m)` and branch
-//! execution can fan out across cores.
+//! branch. Phase 2 (an [`Executor`](crate::Executor)) then runs each
+//! branch on the shared template — reading its memoized noise tables, or
+//! angle-editing it when the branch samples — so the quantum compile cost
+//! of the `m` knob is `O(1)` rather than `O(2^m)` and branch execution can
+//! fan out across cores.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -122,6 +122,33 @@ pub(crate) fn device_fingerprint(device: &Device) -> u64 {
     h.finish()
 }
 
+/// A borrowed device together with its [`device_fingerprint`], computed
+/// once per job instead of once per branch: the hash walks the whole
+/// calibration byte by byte, a large share of a warm fast-tier branch's
+/// cost.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeyedDevice<'a> {
+    device: &'a Device,
+    fingerprint: u64,
+}
+
+impl<'a> KeyedDevice<'a> {
+    pub(crate) fn new(device: &'a Device) -> KeyedDevice<'a> {
+        KeyedDevice {
+            device,
+            fingerprint: device_fingerprint(device),
+        }
+    }
+
+    pub(crate) fn device(&self) -> &'a Device {
+        self.device
+    }
+
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
 // --------------------------------------------------------------------
 // TemplateKey
 // --------------------------------------------------------------------

@@ -4,7 +4,9 @@
 //! circuits differ only in rotation angles. FrozenQubits therefore
 //! compiles a single *template* (paying layout + routing once) and derives
 //! every sibling executable by rewriting the γ-rotation scales in the
-//! already-routed circuit — the `O(1)` compile cost of Table 3.
+//! already-routed circuit — the `O(1)` compile cost of Table 3. Everything
+//! the analytic path reads from an executable is angle-free, so it skips
+//! even the rewrite and reads the template's memoized [`NoiseTables`].
 
 use std::sync::{Arc, Mutex};
 
@@ -17,28 +19,30 @@ use fq_transpile::{compile, CompileOptions, Compiled, Device};
 use serde::json::Value;
 
 use crate::pipeline::{metrics_of, CircuitMetrics};
-use crate::store::device_fingerprint;
+use crate::store::KeyedDevice;
 use crate::FqError;
 
-/// Branch-invariant tables of the approximate-tier execution path,
-/// computed once per template and shared by every branch (and every
-/// job) that executes on it.
+/// Branch-invariant tables of the analytic execution path, computed once
+/// per template and shared by every branch (and every job, of every
+/// tier) that executes on it.
 ///
-/// The invariance argument, field by field: the tiers run all branches
-/// on the template's own compiled circuit (no angle edit — nothing in
-/// these tables reads an angle), every sibling model sharing the
-/// template has the same variable count and the same coupling key set
-/// in the same canonical order (that is what
+/// The invariance argument, field by field: the analytic path runs all
+/// branches on the template's own compiled circuit (no angle edit —
+/// nothing in these tables reads an angle), every sibling model sharing
+/// the template has the same variable count and the same coupling key
+/// set in the same canonical order (that is what
 /// [`ShapeSignature`](crate::ShapeSignature) equality means, and
 /// freezing never touches couplings between free variables), and cone
 /// fidelities depend only on a term's qubit set plus the circuit's gate
 /// structure — never on coefficient values. So each field is a pure
 /// function of `(template, device, layers, lightcone depth)` and caching
-/// it changes no output bit.
-pub(crate) struct TierDerived {
+/// it changes no output bit. The exact tier reads the full-depth entry,
+/// whose cones [`lightcone_fidelities_truncated`] computes bit for bit
+/// like [`fq_sim::lightcone_fidelities`].
+pub(crate) struct NoiseTables {
     /// Global/per-qubit attenuation factors of the compiled template.
     pub(crate) fid: FidelityModel,
-    /// Truncated per-term cone fidelities at the tier's lightcone depth.
+    /// Per-term cone fidelities, truncated at the table's lightcone depth.
     pub(crate) cones: LightconeFidelity,
     /// `log_eps` of the template executable.
     pub(crate) eps_log: f64,
@@ -46,24 +50,24 @@ pub(crate) struct TierDerived {
     pub(crate) metrics: CircuitMetrics,
 }
 
-/// Cache key of one [`TierDerived`] entry: device identity fingerprint,
+/// Cache key of one [`NoiseTables`] entry: device identity fingerprint,
 /// QAOA layer count, lightcone truncation depth.
-type TierKey = (u64, usize, usize);
+type NoiseKey = (u64, usize, usize);
 
-/// The lazily built [`TierDerived`] memo a template shares across its
+/// The lazily built [`NoiseTables`] memo a template shares across its
 /// clones.
-type TierDerivedMemo = Arc<Mutex<Vec<(TierKey, Arc<TierDerived>)>>>;
+type NoiseTablesMemo = Arc<Mutex<Vec<(NoiseKey, Arc<NoiseTables>)>>>;
 
 /// A routed, reusable circuit template for a family of sibling
 /// sub-problems.
 pub struct CompiledTemplate {
     compiled: Compiled,
     num_vars: usize,
-    /// Lazily built [`TierDerived`] tables, shared across clones: the
-    /// template cache hands out clones per plan, so one computation
-    /// serves every branch of every job on this shape. Excluded from
+    /// Lazily built [`NoiseTables`], shared across clones: the template
+    /// cache hands out clones per plan, so one computation serves every
+    /// branch of every job on this shape. Excluded from
     /// `PartialEq`/`Debug`/serialization — it is a memo, not state.
-    tier_derived: TierDerivedMemo,
+    noise_tables: NoiseTablesMemo,
 }
 
 impl Clone for CompiledTemplate {
@@ -71,7 +75,7 @@ impl Clone for CompiledTemplate {
         CompiledTemplate {
             compiled: self.compiled.clone(),
             num_vars: self.num_vars,
-            tier_derived: Arc::clone(&self.tier_derived),
+            noise_tables: Arc::clone(&self.noise_tables),
         }
     }
 }
@@ -134,7 +138,7 @@ impl CompiledTemplate {
         Ok(CompiledTemplate {
             compiled,
             num_vars: representative.num_vars(),
-            tier_derived: Arc::default(),
+            noise_tables: Arc::default(),
         })
     }
 
@@ -161,42 +165,51 @@ impl CompiledTemplate {
         Ok(CompiledTemplate {
             num_vars: v.field("num_vars")?.as_usize()?,
             compiled: fq_transpile::compiled_from_value(v.field("compiled")?)?,
-            tier_derived: Arc::default(),
+            noise_tables: Arc::default(),
         })
     }
 
-    /// The memoized [`TierDerived`] tables for `(device, layers,
-    /// lightcone_depth)`, computing them on first use. `model` may be
-    /// any sibling sharing this template's shape — the tables do not
-    /// depend on which one (see [`TierDerived`]).
+    /// The memoized [`NoiseTables`] for `(device, layers,
+    /// lightcone_depth)`, computing them on first use. `model` may be any
+    /// sibling sharing this template's shape — the tables do not depend
+    /// on which one (see [`NoiseTables`]). Every depth at or beyond the
+    /// circuit's gate count yields the full-depth tables, so they share
+    /// one entry; the exact tier's lightcone model asks for `usize::MAX`.
     ///
     /// # Errors
     ///
-    /// Propagates the cone-walk width check (a model wider than the
-    /// template, impossible for models the plan paired with it).
-    pub(crate) fn tier_derived(
+    /// The errors of [`CompiledTemplate::edit_for`], whose structural
+    /// checks run once per table build instead of once per branch:
+    /// [`FqError::InvalidConfig`] on variable-count mismatch, and a
+    /// `TemplateMismatch` circuit error when the template references a
+    /// term the model lacks.
+    pub(crate) fn noise_tables(
         &self,
         model: &IsingModel,
         layers: usize,
-        device: &Device,
+        device: KeyedDevice<'_>,
         lightcone_depth: usize,
-    ) -> Result<Arc<TierDerived>, FqError> {
-        let key = (device_fingerprint(device), layers, lightcone_depth);
+    ) -> Result<Arc<NoiseTables>, FqError> {
+        let depth = lightcone_depth.min(self.compiled.circuit.len());
+        let key = (device.fingerprint(), layers, depth);
         let mut cache = self
-            .tier_derived
+            .noise_tables
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some((_, derived)) = cache.iter().find(|(k, _)| *k == key) {
-            return Ok(Arc::clone(derived));
+        if let Some((_, tables)) = cache.iter().find(|(k, _)| *k == key) {
+            return Ok(Arc::clone(tables));
         }
-        let derived = Arc::new(TierDerived {
+        // Only for its checks: the tables read no angle.
+        self.edit_for(model)?;
+        let device = device.device();
+        let tables = Arc::new(NoiseTables {
             fid: fidelity_model(&self.compiled, device),
-            cones: lightcone_fidelities_truncated(model, &self.compiled, device, lightcone_depth)?,
+            cones: lightcone_fidelities_truncated(model, &self.compiled, device, depth)?,
             eps_log: log_eps(&self.compiled, device),
             metrics: metrics_of(model, layers, &self.compiled),
         });
-        cache.push((key, Arc::clone(&derived)));
-        Ok(derived)
+        cache.push((key, Arc::clone(&tables)));
+        Ok(tables)
     }
 
     /// Produces the executable for a sibling sub-problem by rewriting the
@@ -219,6 +232,9 @@ impl CompiledTemplate {
         Ok(self.compiled.instantiate(circuit))
     }
 }
+
+#[cfg(test)]
+mod noise_props;
 
 #[cfg(test)]
 mod tests {

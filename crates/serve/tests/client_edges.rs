@@ -172,6 +172,10 @@ fn truncated_response_is_typed_io_error() {
         stream
             .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\nonly-a-few-bytes")
             .unwrap();
+        // Hang up for real: the reader's cloned handle would otherwise
+        // keep the socket open, and the client would wait out its
+        // response timeout instead of seeing the truncation.
+        drop(reader);
         drop(stream);
         // Second connection: behave.
         let (mut stream, _) = listener.accept().unwrap();
