@@ -343,39 +343,6 @@ mod tests {
         (addr, handle)
     }
 
-    /// A fake shard answering every request on one connection with the
-    /// same canned response.
-    fn canned_shard(
-        response: &'static str,
-        requests: usize,
-    ) -> (String, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let handle = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            for _ in 0..requests {
-                let mut content_length = 0usize;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    reader.read_line(&mut line).unwrap();
-                    let trimmed = line.trim_end();
-                    if trimmed.is_empty() {
-                        break;
-                    }
-                    if let Some(v) = trimmed.to_ascii_lowercase().strip_prefix("content-length:") {
-                        content_length = v.trim().parse().unwrap();
-                    }
-                }
-                let mut body = vec![0u8; content_length];
-                std::io::Read::read_exact(&mut reader, &mut body).unwrap();
-                stream.write_all(response.as_bytes()).unwrap();
-            }
-        });
-        (addr, handle)
-    }
-
     #[test]
     fn dead_primary_reroutes_to_the_survivor() {
         // The dead "shard" is a bound-then-dropped port.
@@ -383,10 +350,9 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let (alive, shard) = canned_shard(
+        let (alive, shard) = scripted_shard(vec![
             "HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n{\"ok\":true}",
-            1,
-        );
+        ]);
         let table = ShardTable::new(&[dead.clone(), alive.clone()]);
         // Pick a fingerprint whose rendezvous primary is the *dead*
         // shard, so the forward must actually fail over.
@@ -415,7 +381,7 @@ mod tests {
             64,
             "{\"v\":1,\"error\":{\"kind\":\"invalid_config\",\"message\":\"bad layers\"}}".len()
         );
-        let (addr, shard) = canned_shard(envelope, 1);
+        let (addr, shard) = scripted_shard(vec![envelope]);
         let table = ShardTable::new(&[addr]);
         let metrics = Metrics::default();
         let mut pool = ConnPool::new(None);

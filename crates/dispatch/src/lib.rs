@@ -7,7 +7,10 @@
 //! shards behind naive round-robin and that property collapses: every
 //! shard ends up compiling every template. This crate adds the tier
 //! that preserves it — a dispatcher speaking exactly the shard wire
-//! surface on the same hand-rolled `std::net` substrate:
+//! surface because it runs on the shard's own substrate: `fq-serve`'s
+//! listener, `/v1/jobs` desk (bounded queue, job registry, submit and
+//! poll) and worker pool, with workers that forward instead of execute.
+//! What this crate adds:
 //!
 //! * **Template-affinity routing** ([`ring`]): jobs are routed by the
 //!   rendezvous (highest-random-weight) hash of their template
@@ -50,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod forward;
-mod queue;
 mod registry;
 pub mod ring;
 mod sentinel;

@@ -1,22 +1,21 @@
-//! The dispatcher's job registry: its own id space over *outcomes* —
-//! raw `(status, body)` pairs as the owning shard produced them.
+//! What the dispatcher's job registry records: *outcomes* — raw
+//! `(status, body)` pairs as the owning shard produced them.
 //!
-//! The dispatcher deliberately does not re-model job results: a shard's
-//! response bytes are the product the cluster sells, and storing them
-//! verbatim is what lets the sync path relay byte-identically. The
-//! lifecycle, retention and tombstone mechanics mirror `fq-serve`'s
-//! registry (queued → forwarding → done, TTL + count bounds, `410` for
-//! expired ids) so clients see one consistent polling contract whether
-//! they talk to a shard or the front door.
+//! The registry itself is `fq-serve`'s, shared through the `/v1/jobs`
+//! desk ([`fq_serve::jobs::Jobs`]): the lifecycle, retention and
+//! tombstone mechanics (queued → running → done, TTL + count bounds,
+//! `410` for expired ids) are the same code on both tiers, so clients
+//! see one polling contract whether they talk to a shard or the front
+//! door. This module holds the one thing that differs — the outcome —
+//! and pins the registry's contract as the dispatcher instantiates it.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use fq_serve::error::error_body;
+use fq_serve::jobs::JobOutcome;
 
-use frozenqubits::JobId;
-
-/// A shard's final answer for one job, verbatim.
+/// A shard's final answer for one job, verbatim: the dispatcher does
+/// not re-model results. A shard's response bytes are the product the
+/// cluster sells, and keeping them verbatim is what lets the sync path
+/// relay byte-identically.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Outcome {
     /// The HTTP status the shard (or the forwarder's shed path) chose.
@@ -25,209 +24,140 @@ pub(crate) struct Outcome {
     pub(crate) body: String,
 }
 
-impl Outcome {
-    /// Whether this outcome is a successful result document.
-    pub(crate) fn is_ok(&self) -> bool {
+impl JobOutcome for Outcome {
+    fn is_ok(&self) -> bool {
         self.status == 200
     }
-}
 
-/// Where a dispatched job is in its lifecycle.
-#[derive(Clone, Debug)]
-pub(crate) enum DispatchState {
-    /// Accepted, waiting for a forwarder.
-    Queued,
-    /// A forwarder is walking the candidate shards.
-    Forwarding,
-    /// The shard answered (or every candidate was exhausted).
-    Done(Arc<Outcome>),
-}
-
-impl DispatchState {
-    /// The wire name, matching the shard registry's vocabulary so a
-    /// poll envelope reads the same from either tier. `Forwarding`
-    /// reads as `running`: to the client the job is simply executing.
-    pub(crate) fn status_name(&self) -> &'static str {
-        match self {
-            DispatchState::Queued => "queued",
-            DispatchState::Forwarding => "running",
-            DispatchState::Done(outcome) if outcome.is_ok() => "done",
-            DispatchState::Done(_) => "failed",
-        }
-    }
-}
-
-/// What the registry knows about an id.
-#[derive(Clone, Debug)]
-pub(crate) enum Lookup {
-    /// Live: queued, forwarding, or retained done.
-    Active(DispatchState),
-    /// Finished but expired by the TTL/count bound. → `410`.
-    Expired,
-    /// Never issued. → `404`.
-    Unknown,
-}
-
-/// Aggregate counters for `/v1/stats`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct JobCounts {
-    pub(crate) submitted: u64,
-    pub(crate) completed: u64,
-    pub(crate) failed: u64,
-    pub(crate) expired: u64,
-}
-
-/// Same retention rationale as the shard registry: enough tombstones to
-/// answer `410` for any plausibly-held id, bounded.
-const MAX_TOMBSTONES: usize = 65_536;
-
-#[derive(Debug, Default)]
-struct Inner {
-    jobs: HashMap<u64, DispatchState>,
-    done_order: VecDeque<(u64, Instant)>,
-    tombstones: BTreeSet<u64>,
-}
-
-/// The shared outcome registry.
-#[derive(Debug)]
-pub(crate) struct OutcomeStore {
-    inner: Mutex<Inner>,
-    finished: Condvar,
-    next_id: AtomicU64,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    expired: AtomicU64,
-    ttl: Duration,
-    max_done: usize,
-}
-
-impl OutcomeStore {
-    pub(crate) fn new(ttl: Duration, max_done: usize) -> OutcomeStore {
-        OutcomeStore {
-            inner: Mutex::new(Inner::default()),
-            finished: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            ttl,
-            max_done: max_done.max(1),
+    fn panicked(message: &str) -> Outcome {
+        Outcome {
+            status: 500,
+            body: error_body("internal", &format!("job forwarding panicked: {message}")),
         }
     }
 
-    fn prune(&self, inner: &mut Inner, now: Instant) {
-        while let Some(&(id, done_at)) = inner.done_order.front() {
-            let over_count = inner.done_order.len() > self.max_done;
-            let over_ttl = now.duration_since(done_at) >= self.ttl;
-            if !over_count && !over_ttl {
-                break;
-            }
-            inner.done_order.pop_front();
-            if inner.jobs.remove(&id).is_some() {
-                inner.tombstones.insert(id);
-                self.expired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        while inner.tombstones.len() > MAX_TOMBSTONES {
-            let oldest = *inner.tombstones.iter().next().expect("non-empty set");
-            inner.tombstones.remove(&oldest);
-        }
-    }
-
-    /// Mints a fresh dispatcher-side id and registers it as queued.
-    pub(crate) fn register(&self) -> JobId {
-        let id = JobId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        self.prune(&mut inner, Instant::now());
-        inner.jobs.insert(id.value(), DispatchState::Queued);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    /// Removes a registration whose queue push bounced.
-    pub(crate) fn discard(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("registry lock poisoned")
-            .jobs
-            .remove(&id.value());
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Marks `id` as claimed by a forwarder.
-    pub(crate) fn mark_forwarding(&self, id: JobId) {
-        self.inner
-            .lock()
-            .expect("registry lock poisoned")
-            .jobs
-            .insert(id.value(), DispatchState::Forwarding);
-    }
-
-    /// Records `id`'s outcome and wakes synchronous waiters.
-    pub(crate) fn complete(&self, id: JobId, outcome: Outcome) {
-        match outcome.is_ok() {
-            true => self.completed.fetch_add(1, Ordering::Relaxed),
-            false => self.failed.fetch_add(1, Ordering::Relaxed),
-        };
-        let now = Instant::now();
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        inner
-            .jobs
-            .insert(id.value(), DispatchState::Done(Arc::new(outcome)));
-        inner.done_order.push_back((id.value(), now));
-        self.prune(&mut inner, now);
-        drop(inner);
-        self.finished.notify_all();
-    }
-
-    /// What the registry knows about `id`.
-    pub(crate) fn lookup(&self, id: JobId) -> Lookup {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        self.prune(&mut inner, Instant::now());
-        match inner.jobs.get(&id.value()) {
-            Some(state) => Lookup::Active(state.clone()),
-            None if inner.tombstones.contains(&id.value()) => Lookup::Expired,
-            None => Lookup::Unknown,
-        }
-    }
-
-    /// Blocks until `id` finishes or `timeout` elapses; returns the
-    /// last observed state, or `None` for an unknown id.
-    pub(crate) fn await_done(&self, id: JobId, timeout: Duration) -> Option<DispatchState> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        loop {
-            let state = inner.jobs.get(&id.value())?.clone();
-            if matches!(state, DispatchState::Done(_)) {
-                return Some(state);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(state);
-            }
-            let (guard, _) = self
-                .finished
-                .wait_timeout(inner, deadline - now)
-                .expect("registry lock poisoned");
-            inner = guard;
-        }
-    }
-
-    pub(crate) fn counts(&self) -> JobCounts {
-        JobCounts {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-        }
+    fn reply(&self) -> (u16, String) {
+        (self.status, self.body.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::{self, Sender};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use fq_serve::http::{Request, Response};
+    use fq_serve::jobs::Jobs;
+    use fq_serve::worker::WorkerPool;
+    use frozenqubits::JobId;
+    use serde::json::Value;
+
     use super::*;
+
+    /// The dispatcher's desk: raw bodies with their fingerprints in,
+    /// shard outcomes out.
+    type Desk = Jobs<(String, String), Outcome>;
+
+    /// A desk drained by one forwarder that answers each job with the
+    /// next outcome the test sends, so the test decides when a job
+    /// finishes and how.
+    struct Front {
+        jobs: Arc<Desk>,
+        answers: Option<Sender<Outcome>>,
+        pool: Option<WorkerPool>,
+    }
+
+    impl Front {
+        fn new(ttl: Duration, max_done: usize) -> Front {
+            let jobs = Arc::new(Jobs::new(16, ttl, max_done, Duration::from_secs(30)).unwrap());
+            let (answers, script) = mpsc::channel();
+            let mut script = Some(script);
+            let pool = WorkerPool::spawn("registry-test", 1, &jobs, || {
+                let script = script.take().expect("one forwarder");
+                move |_: &(String, String)| script.recv().expect("an answer for every job")
+            });
+            Front {
+                jobs,
+                answers: Some(answers),
+                pool: Some(pool),
+            }
+        }
+
+        fn answer(&self, outcome: Outcome) {
+            self.answers.as_ref().unwrap().send(outcome).unwrap();
+        }
+
+        fn submit_async(&self) -> JobId {
+            let response = submit(&self.jobs, "async");
+            assert_eq!(response.status, 202);
+            job_id(&response)
+        }
+
+        /// A poll's HTTP status and what it names: the envelope's
+        /// status, or the error kind of a `404`/`410`.
+        fn poll(&self, id: JobId) -> (u16, String) {
+            let response = self.jobs.poll(id);
+            let body = Value::parse(&response.body).unwrap();
+            let name = match response.status {
+                200 => body.field("status").unwrap(),
+                _ => body.field("error").unwrap().field("kind").unwrap(),
+            };
+            (response.status, name.as_str().unwrap().to_string())
+        }
+
+        /// Polls until `id` reads `status`, for transitions the
+        /// forwarder makes on its own thread.
+        fn wait_for(&self, id: JobId, status: &str) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.poll(id) != (200, status.to_string()) {
+                assert!(
+                    Instant::now() < deadline,
+                    "job {id} never reached `{status}` (last poll: {:?})",
+                    self.poll(id)
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn count(&self, name: &str) -> u64 {
+            let counts = self.jobs.job_counts();
+            let (_, value) = counts.iter().find(|(key, _)| *key == name).unwrap();
+            value.as_u64().unwrap()
+        }
+    }
+
+    impl Drop for Front {
+        fn drop(&mut self) {
+            self.jobs.close();
+            // Hanging up unblocks a forwarder still waiting for an answer.
+            self.answers.take();
+            if let Some(pool) = self.pool.take() {
+                pool.join();
+            }
+        }
+    }
+
+    fn submit(jobs: &Desk, mode: &str) -> Response {
+        let request = Request {
+            method: "POST".into(),
+            path: "/v1/jobs".into(),
+            query: Some(format!("mode={mode}")),
+            body: b"{}".to_vec(),
+            keep_alive: false,
+            headers: Vec::new(),
+        };
+        jobs.submit(&request, |body| Ok((body.to_string(), "fp".to_string())))
+    }
+
+    fn job_id(response: &Response) -> JobId {
+        let (_, id) = response
+            .extra_headers
+            .iter()
+            .find(|(name, _)| *name == "fq-job-id")
+            .expect("every accepted job names its id");
+        id.parse().unwrap()
+    }
 
     fn ok() -> Outcome {
         Outcome {
@@ -236,56 +166,48 @@ mod tests {
         }
     }
 
+    fn saturated() -> Outcome {
+        Outcome {
+            status: 503,
+            body: error_body("cluster_saturated", "every candidate shard is saturated"),
+        }
+    }
+
     #[test]
     fn lifecycle_counts_and_status_names() {
-        let store = OutcomeStore::new(Duration::from_secs(3600), 4096);
-        let a = store.register();
-        let b = store.register();
-        assert!(matches!(
-            store.lookup(a),
-            Lookup::Active(DispatchState::Queued)
-        ));
-        store.mark_forwarding(a);
-        let Lookup::Active(state) = store.lookup(a) else {
-            panic!("live")
-        };
-        assert_eq!(state.status_name(), "running");
-        store.complete(a, ok());
-        store.complete(
-            b,
-            Outcome {
-                status: 503,
-                body: "{}".into(),
-            },
-        );
-        let Lookup::Active(done) = store.lookup(a) else {
-            panic!("live")
-        };
-        assert_eq!(done.status_name(), "done");
-        let Lookup::Active(failed) = store.lookup(b) else {
-            panic!("live")
-        };
-        assert_eq!(failed.status_name(), "failed");
+        let front = Front::new(Duration::from_secs(3600), 4096);
+        let a = front.submit_async();
+        let b = front.submit_async();
+        // The one forwarder claims `a` and waits on its answer, so `b`
+        // stays queued.
+        front.wait_for(a, "running");
+        assert_eq!(front.poll(b), (200, "queued".to_string()));
+        front.answer(ok());
+        front.answer(saturated());
+        front.wait_for(a, "done");
+        front.wait_for(b, "failed");
         assert_eq!(
-            store.counts(),
-            JobCounts {
-                submitted: 2,
-                completed: 1,
-                failed: 1,
-                expired: 0
-            }
+            front.jobs.job_counts(),
+            vec![
+                ("submitted", Value::UInt(2)),
+                ("completed", Value::UInt(1)),
+                ("failed", Value::UInt(1)),
+                ("expired", Value::UInt(0)),
+            ]
         );
-        assert!(matches!(store.lookup(JobId::new(999)), Lookup::Unknown));
+        assert_eq!(front.poll(JobId::new(999)), (404, "not_found".to_string()));
     }
 
     #[test]
     fn ttl_expiry_tombstones_like_the_shard_registry() {
-        let store = OutcomeStore::new(Duration::from_millis(20), 4096);
-        let id = store.register();
-        store.complete(id, ok());
+        let front = Front::new(Duration::from_millis(20), 4096);
+        front.answer(ok());
+        let response = submit(&front.jobs, "sync");
+        assert_eq!(response.status, 200);
+        let id = job_id(&response);
         std::thread::sleep(Duration::from_millis(30));
-        assert!(matches!(store.lookup(id), Lookup::Expired));
-        assert_eq!(store.counts().expired, 1);
+        assert_eq!(front.poll(id), (410, "expired".to_string()));
+        assert_eq!(front.count("expired"), 1);
     }
 
     #[test]
@@ -294,24 +216,20 @@ mod tests {
         // a *failure* outcome (shed 503, upstream 502, ...). Failures
         // must ride the same retention train as successes: expired by
         // TTL, tombstoned, counted — never retained forever.
-        let store = OutcomeStore::new(Duration::from_millis(20), 4096);
-        let id = store.register();
-        store.mark_forwarding(id);
-        store.complete(
-            id,
-            Outcome {
-                status: 503,
-                body: "{\"error\":{\"kind\":\"cluster_saturated\"}}".into(),
-            },
-        );
-        assert!(matches!(store.lookup(id), Lookup::Active(_)));
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            matches!(store.lookup(id), Lookup::Expired),
+        let front = Front::new(Duration::from_millis(100), 4096);
+        front.answer(saturated());
+        let response = submit(&front.jobs, "sync");
+        assert_eq!(response.status, 503);
+        let id = job_id(&response);
+        assert_eq!(front.poll(id), (200, "failed".to_string()));
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(
+            front.poll(id),
+            (410, "expired".to_string()),
             "a failed outcome must expire like a successful one"
         );
-        assert_eq!(store.counts().expired, 1);
-        assert_eq!(store.counts().failed, 1);
+        assert_eq!(front.count("expired"), 1);
+        assert_eq!(front.count("failed"), 1);
     }
 
     #[test]
@@ -320,30 +238,68 @@ mod tests {
         // finished job and answer Expired for it, while the newer ones
         // stay pollable — the poll-after-expiry half of the 410
         // contract without waiting on wall-clock TTLs.
-        let store = OutcomeStore::new(Duration::from_secs(3600), 2);
-        let ids: Vec<JobId> = (0..3).map(|_| store.register()).collect();
-        for &id in &ids {
-            store.complete(id, ok());
-        }
+        let front = Front::new(Duration::from_secs(3600), 2);
+        let ids: Vec<JobId> = (0..3)
+            .map(|_| {
+                front.answer(ok());
+                let response = submit(&front.jobs, "sync");
+                assert_eq!(response.status, 200);
+                job_id(&response)
+            })
+            .collect();
         // Completing the third pruned the first (max_done = 2).
-        assert!(matches!(store.lookup(ids[0]), Lookup::Expired));
-        assert!(matches!(store.lookup(ids[1]), Lookup::Active(_)));
-        assert!(matches!(store.lookup(ids[2]), Lookup::Active(_)));
-        assert_eq!(store.counts().expired, 1);
+        assert_eq!(front.poll(ids[0]), (410, "expired".to_string()));
+        assert_eq!(front.poll(ids[1]), (200, "done".to_string()));
+        assert_eq!(front.poll(ids[2]), (200, "done".to_string()));
+        assert_eq!(front.count("expired"), 1);
         // An id never issued still answers Unknown, not Expired.
-        assert!(matches!(store.lookup(JobId::new(999)), Lookup::Unknown));
+        assert_eq!(front.poll(JobId::new(999)), (404, "not_found".to_string()));
     }
 
     #[test]
     fn await_done_wakes_on_completion() {
-        let store = Arc::new(OutcomeStore::new(Duration::from_secs(3600), 4096));
-        let id = store.register();
+        let front = Front::new(Duration::from_secs(3600), 4096);
         let waiter = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || store.await_done(id, Duration::from_secs(30)))
+            let jobs = Arc::clone(&front.jobs);
+            std::thread::spawn(move || submit(&jobs, "sync"))
         };
         std::thread::sleep(Duration::from_millis(20));
-        store.complete(id, ok());
-        assert_eq!(waiter.join().unwrap().unwrap().status_name(), "done");
+        front.answer(Outcome {
+            status: 200,
+            body: "{\"ok\":true}".into(),
+        });
+        let response = waiter.join().unwrap();
+        assert_eq!(response.status, 200);
+        assert_eq!(response.body, "{\"ok\":true}", "relayed verbatim");
+        assert_eq!(front.poll(job_id(&response)), (200, "done".to_string()));
+    }
+
+    #[test]
+    fn outcomes_are_the_shards_answers_verbatim() {
+        let ok = Outcome {
+            status: 200,
+            body: "{\"ok\":true}".into(),
+        };
+        assert!(ok.is_ok());
+        assert_eq!(ok.reply(), (200, "{\"ok\":true}".to_string()));
+        let saturated = Outcome {
+            status: 503,
+            body: "{}".into(),
+        };
+        assert!(!saturated.is_ok());
+        // A panicking forward still ends the job, as a structured 500.
+        let panicked = Outcome::panicked("boom");
+        assert!(!panicked.is_ok());
+        let (status, body) = panicked.reply();
+        assert_eq!(status, 500);
+        let error = Value::parse(&body).unwrap();
+        let error = error.field("error").unwrap();
+        assert_eq!(error.field("kind").unwrap().as_str().unwrap(), "internal");
+        assert!(error
+            .field("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("boom"));
     }
 }

@@ -1,15 +1,17 @@
-//! The dispatcher process: configuration, the accept loop, and the
-//! front-door endpoints.
+//! The dispatcher process: configuration, the front-door endpoints, and
+//! the wiring of the shard's own substrate around the forwarding path.
 //!
-//! The data path mirrors a shard's — deliberately:
+//! The listener, the `/v1/jobs` desk (bounded queue, registry, submit
+//! and poll) and the worker pool are `fq-serve`'s, so the data path is a
+//! shard's with "execute" replaced by "forward":
 //!
 //! ```text
-//! TcpListener ──▶ connection threads ──▶ bounded queue ──▶ forwarder pool
-//!                      (mint JobId,           │                 │
-//!                       fingerprint)          ▼                 ▼
-//!                                        503 when full    candidate shards
-//!                                                         (rendezvous order,
-//!                                                          retry/re-route)
+//! Listener ──▶ connection threads ──▶ Jobs: bounded queue ──▶ forwarder pool
+//!                 (mint JobId,              │                     │
+//!                  fingerprint)             ▼                     ▼
+//!                                      503 when full        candidate shards
+//!                                                           (rendezvous order,
+//!                                                            retry/re-route)
 //! ```
 //!
 //! `POST /v1/jobs` and `GET /v1/jobs/{id}` speak exactly the shard wire
@@ -19,22 +21,21 @@
 //! a JSON array of specs across the fleet and merges the outcomes in
 //! job order.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fq_serve::error::error_response;
-use fq_serve::http::{self, ReadError, Request, Response};
-use fq_serve::wire::{submit_ack, WIRE_V};
+use fq_serve::error::{error_response, method_not_allowed, not_found};
+use fq_serve::http::{Request, Response};
+use fq_serve::jobs::Jobs;
+use fq_serve::listener::{Limits, Listener};
+use fq_serve::wire::{healthz_body, WIRE_V};
+use fq_serve::worker::WorkerPool;
 use frozenqubits::{FqError, JobId, JobSpec};
 use serde::json::Value;
 
 use crate::forward::{forward_job, ConnPool, ForwardPolicy, Metrics};
-use crate::queue::{DispatchQueue, PushError, QueuedForward};
-use crate::registry::{DispatchState, Lookup, Outcome, OutcomeStore};
+use crate::registry::Outcome;
 use crate::sentinel::{self, SentinelConfig};
 use crate::shards::ShardTable;
 
@@ -141,9 +142,10 @@ impl DispatchConfig {
 
 /// Everything the request handlers share.
 #[derive(Debug)]
-struct DispatchState2 {
-    queue: Arc<DispatchQueue>,
-    store: Arc<OutcomeStore>,
+struct DispatchState {
+    /// Queued forwards carry the request body verbatim and its routing
+    /// fingerprint; outcomes are the owning shard's answers.
+    jobs: Arc<Jobs<(String, String), Outcome>>,
     table: Arc<ShardTable>,
     metrics: Arc<Metrics>,
     config: DispatchConfig,
@@ -154,6 +156,11 @@ struct DispatchState2 {
 /// background threads and returns a [`DispatchHandle`].
 #[derive(Debug)]
 pub struct Dispatcher;
+
+/// A running dispatcher: address discovery plus orderly shutdown — the
+/// shard's handle, since both run on the same listener. Dropping it
+/// shuts everything down.
+pub type DispatchHandle = fq_serve::ServerHandle;
 
 impl Dispatcher {
     /// Binds, spawns the forwarder pool, the sentinel and the accept
@@ -170,54 +177,35 @@ impl Dispatcher {
                 "at least one shard address is required".into(),
             ));
         }
-        if config.queue_capacity == 0 {
-            return Err(FqError::InvalidConfig(
-                "queue_capacity must be at least 1".into(),
-            ));
-        }
-        if config.max_connections == 0 {
-            return Err(FqError::InvalidConfig(
-                "max_connections must be at least 1".into(),
-            ));
-        }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let jobs = Arc::new(Jobs::new(
+            config.queue_capacity,
+            config.job_ttl,
+            config.max_done_jobs,
+            config.sync_wait,
+        )?);
+        let listener = Listener::bind(
+            &config.addr,
+            Limits {
+                max_connections: config.max_connections,
+                max_body_bytes: config.max_body_bytes,
+                read_timeout: config.read_timeout,
+                request_deadline: config.request_deadline,
+                fault_plan: config.fault_plan.clone(),
+            },
+        )?;
 
-        let queue = Arc::new(DispatchQueue::new(config.queue_capacity));
-        let store = Arc::new(OutcomeStore::new(config.job_ttl, config.max_done_jobs));
         let table = Arc::new(ShardTable::new(&config.shards));
         let metrics = Arc::new(Metrics::default());
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let forwarders: Vec<JoinHandle<()>> = (0..config.forwarders)
-            .map(|index| {
-                let queue = Arc::clone(&queue);
-                let store = Arc::clone(&store);
-                let table = Arc::clone(&table);
-                let metrics = Arc::clone(&metrics);
-                let policy = config.policy();
-                let token = config.auth_token.clone();
-                let fault_plan = config.fault_plan.clone();
-                thread::Builder::new()
-                    .name(format!("fq-dispatch-forward-{index}"))
-                    .spawn(move || {
-                        let mut pool = ConnPool::new(token).with_fault_plan(fault_plan);
-                        while let Some(job) = queue.pop() {
-                            store.mark_forwarding(job.id);
-                            let outcome = forward_job(
-                                &mut pool,
-                                &table,
-                                &policy,
-                                &metrics,
-                                &job.body,
-                                &job.fingerprint,
-                            );
-                            store.complete(job.id, outcome);
-                        }
-                    })
-                    .expect("spawning a forwarder thread")
-            })
-            .collect();
+        let pool = WorkerPool::spawn("fq-dispatch-forward", config.forwarders, &jobs, || {
+            let mut pool =
+                ConnPool::new(config.auth_token.clone()).with_fault_plan(config.fault_plan.clone());
+            let table = Arc::clone(&table);
+            let metrics = Arc::clone(&metrics);
+            let policy = config.policy();
+            move |(body, fingerprint): &(String, String)| {
+                forward_job(&mut pool, &table, &policy, &metrics, body, fingerprint)
+            }
+        });
 
         let sentinel = sentinel::spawn(
             Arc::clone(&table),
@@ -229,217 +217,43 @@ impl Dispatcher {
                 probe_timeout: config.probe_timeout,
                 fault_plan: config.fault_plan.clone(),
             },
-            Arc::clone(&stop),
+            listener.stop_flag(),
         );
 
-        let state = Arc::new(DispatchState2 {
-            queue: Arc::clone(&queue),
-            store,
+        let state = Arc::new(DispatchState {
+            jobs: Arc::clone(&jobs),
             table,
             metrics,
             config,
             started: Instant::now(),
         });
-        let accept = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            thread::Builder::new()
-                .name("fq-dispatch-accept".into())
-                .spawn(move || accept_loop(&listener, &state, &stop))
-                .map_err(|e| FqError::Io(format!("spawning the accept thread: {e}")))?
-        };
-
-        Ok(DispatchHandle {
-            addr,
-            stop,
-            accept: Some(accept),
-            forwarders,
-            sentinel: Some(sentinel),
-            queue,
-        })
-    }
-}
-
-/// A running dispatcher: address discovery plus orderly shutdown.
-/// Dropping the handle shuts everything down, like a shard's handle.
-#[derive(Debug)]
-pub struct DispatchHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    forwarders: Vec<JoinHandle<()>>,
-    sentinel: Option<JoinHandle<()>>,
-    queue: Arc<DispatchQueue>,
-}
-
-impl DispatchHandle {
-    /// The actual bound address (resolves `:0` ephemeral binds).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, drains queued jobs through the forwarders, and
-    /// joins every background thread.
-    pub fn shutdown(mut self) {
-        self.stop_internal();
-    }
-
-    /// Blocks for the dispatcher's lifetime (the binary's main loop).
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.stop_internal();
-    }
-
-    fn stop_internal(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.queue.close();
-        for handle in self.forwarders.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(sentinel) = self.sentinel.take() {
-            let _ = sentinel.join();
-        }
-    }
-}
-
-impl Drop for DispatchHandle {
-    fn drop(&mut self) {
-        self.stop_internal();
-    }
-}
-
-/// Decrements the live-connection count even if a handler panics.
-struct ConnectionSlot(Arc<std::sync::atomic::AtomicUsize>);
-
-impl Drop for ConnectionSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Refuses an over-cap connection with `503`, then drains the client's
-/// already-sent request bytes before closing — closing with unread data
-/// in the receive queue would RST the response away (same discipline as
-/// the shard accept loop).
-fn shed_connection(mut stream: TcpStream) {
-    let _ = error_response(503, "overloaded", "connection limit reached")
-        .write(&mut stream, false)
-        .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut scratch = [0u8; 4096];
-    while matches!(std::io::Read::read(&mut stream, &mut scratch), Ok(n) if n > 0) {}
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<DispatchState2>, stop: &Arc<AtomicBool>) {
-    let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(stream) => stream,
-            Err(_) => {
-                thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        if active.load(Ordering::SeqCst) >= state.config.max_connections {
-            shed_connection(stream);
-            continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let slot = ConnectionSlot(Arc::clone(&active));
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        let spawned = thread::Builder::new()
-            .name("fq-dispatch-conn".into())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(stream, &state, &stop);
-            });
-        drop(spawned);
-    }
-}
-
-/// One connection: keep-alive loop of read → route → respond, on the
-/// exact framing substrate the shards use (`fq_serve::http`).
-fn handle_connection(mut stream: TcpStream, state: &Arc<DispatchState2>, stop: &Arc<AtomicBool>) {
-    if let Some(plan) = &state.config.fault_plan {
-        use fq_faults::{FaultKind, FaultSite};
-        match plan.roll(FaultSite::Accept) {
-            // Same semantics as the shard accept hook: drop before
-            // reading (client sees a reset) or sit on the connection.
-            Some(FaultKind::Refuse) => return,
-            Some(FaultKind::Stall(ms)) => thread::sleep(Duration::from_millis(ms)),
-            _ => {}
-        }
-    }
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(http::DeadlineReader::new(read_half));
-    loop {
-        reader.get_mut().arm(state.config.request_deadline);
-        match http::read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-                let response = handle_request(state, &request);
-                if response.write(&mut stream, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(error) => {
-                if let Some(status) = error.status() {
-                    let kind = match &error {
-                        ReadError::PayloadTooLarge { .. } => "payload_too_large",
-                        ReadError::NotImplemented(_) => "not_implemented",
-                        ReadError::VersionNotSupported(_) => "http_version",
-                        _ => "bad_request",
-                    };
-                    let _ =
-                        error_response(status, kind, &error.message()).write(&mut stream, false);
-                }
-                return;
-            }
-        }
+        listener.serve(
+            "fq-dispatch",
+            move |request| handle_request(&state, request),
+            move || {
+                jobs.close();
+                pool.join();
+                let _ = sentinel.join();
+            },
+        )
     }
 }
 
 /// Routes and executes one request.
-fn handle_request(state: &DispatchState2, request: &Request) -> Response {
+fn handle_request(state: &DispatchState, request: &Request) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/v1/healthz") => Response::json(
-            200,
-            Value::object(vec![
-                ("v", Value::UInt(WIRE_V)),
-                ("status", Value::string("ok")),
-            ])
-            .to_json(),
-        ),
-        (_, "/v1/healthz") => method_not_allowed(request, "GET"),
+        ("GET", "/v1/healthz") => Response::json(200, healthz_body()),
+        (method, "/v1/healthz") => method_not_allowed(method, "GET"),
         ("GET", "/v1/stats") => Response::json(200, stats_body(state)),
-        (_, "/v1/stats") => method_not_allowed(request, "GET"),
-        ("POST", "/v1/jobs") => handle_submit(state, request),
-        (_, "/v1/jobs") => method_not_allowed(request, "POST"),
+        (method, "/v1/stats") => method_not_allowed(method, "GET"),
+        ("POST", "/v1/jobs") => state.jobs.submit(request, |body| {
+            Ok((body.to_string(), routing_fingerprint(body)))
+        }),
+        (method, "/v1/jobs") => method_not_allowed(method, "POST"),
         ("POST", "/v1/batch") => handle_batch(state, request),
-        (_, "/v1/batch") => method_not_allowed(request, "POST"),
+        (method, "/v1/batch") => method_not_allowed(method, "POST"),
         ("GET", "/v1/shards") => Response::json(200, shards_body(state)),
-        ("POST", "/v1/shards") => match authorized(state, request) {
+        ("POST", "/v1/shards") => match request.authorized(state.config.auth_token.as_deref()) {
             true => handle_shard_join(state, request),
             false => error_response(
                 401,
@@ -447,48 +261,23 @@ fn handle_request(state: &DispatchState2, request: &Request) -> Response {
                 "POST /v1/shards requires `authorization: Bearer <token>`",
             ),
         },
-        (_, "/v1/shards") => method_not_allowed(request, "GET, POST"),
+        (method, "/v1/shards") => method_not_allowed(method, "GET, POST"),
         (method, path) => {
             if let Some(raw_id) = path.strip_prefix("/v1/jobs/") {
                 if raw_id.is_empty() || raw_id.contains('/') {
                     return not_found(path);
                 }
                 if method != "GET" {
-                    return method_not_allowed(request, "GET");
+                    return method_not_allowed(method, "GET");
                 }
                 return match raw_id.parse::<JobId>() {
-                    Ok(id) => handle_job_poll(state, id),
+                    Ok(id) => state.jobs.poll(id),
                     Err(FqError::Serde(message)) => error_response(400, "bad_request", &message),
                     Err(other) => error_response(400, "bad_request", &other.to_string()),
                 };
             }
             not_found(path)
         }
-    }
-}
-
-fn not_found(path: &str) -> Response {
-    error_response(404, "not_found", &format!("no route for `{path}`"))
-}
-
-fn method_not_allowed(request: &Request, allow: &'static str) -> Response {
-    error_response(
-        405,
-        "method_not_allowed",
-        &format!("{} is not allowed here; allowed: {allow}", request.method),
-    )
-    .with_header("allow", allow)
-}
-
-/// Checks the bearer token gating the admin surface (mirrors the
-/// shard-side gate on template pushes).
-fn authorized(state: &DispatchState2, request: &Request) -> bool {
-    match &state.config.auth_token {
-        None => true,
-        Some(token) => request
-            .header("authorization")
-            .and_then(|value| value.strip_prefix("Bearer "))
-            .is_some_and(|presented| presented == token.as_str()),
     }
 }
 
@@ -505,115 +294,6 @@ fn routing_fingerprint(body: &str) -> String {
         .unwrap_or_default()
 }
 
-/// `POST /v1/jobs`: mint an id, enqueue for forwarding, then sync-wait
-/// or acknowledge — the shard submission contract, verbatim.
-fn handle_submit(state: &DispatchState2, request: &Request) -> Response {
-    let sync = match request.query_param("mode") {
-        None | Some("sync") => true,
-        Some("async") => false,
-        Some(other) => {
-            return error_response(
-                400,
-                "bad_request",
-                &format!("unknown mode `{other}` (expected sync or async)"),
-            )
-        }
-    };
-    let Ok(body) = std::str::from_utf8(&request.body) else {
-        return error_response(400, "bad_request", "request body is not valid UTF-8");
-    };
-    let fingerprint = routing_fingerprint(body);
-
-    let id = state.store.register();
-    let queued = QueuedForward {
-        id,
-        body: body.to_string(),
-        fingerprint,
-    };
-    match state.queue.push(queued) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            state.store.discard(id);
-            return error_response(
-                503,
-                "queue_full",
-                &format!(
-                    "dispatch queue is at capacity ({}); retry later",
-                    state.queue.capacity()
-                ),
-            )
-            .with_header("retry-after", "1");
-        }
-        Err(PushError::Closed) => {
-            state.store.discard(id);
-            return error_response(503, "shutting_down", "dispatcher is shutting down");
-        }
-    }
-
-    if !sync {
-        return Response::json(202, submit_ack(id))
-            .with_header("location", format!("/v1/jobs/{id}"))
-            .with_header("fq-job-id", id.to_string());
-    }
-    match state.store.await_done(id, state.config.sync_wait) {
-        Some(DispatchState::Done(outcome)) => {
-            // Relay the shard's answer byte-for-byte; a cluster-level
-            // shed keeps the shards' retry-after discipline.
-            let response = Response::json(outcome.status, outcome.body.clone())
-                .with_header("fq-job-id", id.to_string());
-            match outcome.status {
-                503 => response.with_header("retry-after", "1"),
-                _ => response,
-            }
-        }
-        Some(pending) => Response::json(202, envelope(id, &pending))
-            .with_header("location", format!("/v1/jobs/{id}"))
-            .with_header("fq-job-id", id.to_string()),
-        None => error_response(500, "internal", "job vanished from the registry"),
-    }
-}
-
-/// `GET /v1/jobs/{id}`.
-fn handle_job_poll(state: &DispatchState2, id: JobId) -> Response {
-    match state.store.lookup(id) {
-        Lookup::Active(job_state) => Response::json(200, envelope(id, &job_state)),
-        Lookup::Expired => error_response(
-            410,
-            "expired",
-            &format!("job `{id}` finished, but its result passed the retention bound (TTL/count) and was expired"),
-        ),
-        Lookup::Unknown => error_response(404, "not_found", &format!("no such job `{id}`")),
-    }
-}
-
-/// The poll envelope, in the shards' vocabulary, built from the raw
-/// outcome: the embedded result/error round-trips byte-exactly because
-/// the document model is canonical.
-fn envelope(id: JobId, state: &DispatchState) -> String {
-    let mut pairs = vec![
-        ("v", Value::UInt(WIRE_V)),
-        ("id", Value::string(id.to_string())),
-        ("status", Value::string(state.status_name())),
-    ];
-    if let DispatchState::Done(outcome) = state {
-        if outcome.is_ok() {
-            pairs.push(("result", Value::parse(&outcome.body).unwrap_or(Value::Null)));
-        } else {
-            let error = Value::parse(&outcome.body)
-                .ok()
-                .and_then(|v| v.field("error").ok().cloned())
-                .unwrap_or_else(|| {
-                    Value::object(vec![
-                        ("kind", Value::string("upstream")),
-                        ("message", Value::string(outcome.body.clone())),
-                    ])
-                });
-            pairs.push(("error", error));
-        }
-    }
-    Value::object(pairs).to_json()
-}
-
 /// `POST /v1/batch`: a JSON array of job specs, scattered over the
 /// fleet and merged in job order.
 ///
@@ -623,7 +303,7 @@ fn envelope(id: JobId, state: &DispatchState) -> String {
 /// `{"status":...,"body":...}` element per submitted spec, where a
 /// `200` element's `body` is the shard's canonical result document —
 /// byte-identical (after extraction) to a single `BatchRunner` run.
-fn handle_batch(state: &DispatchState2, request: &Request) -> Response {
+fn handle_batch(state: &DispatchState, request: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return error_response(400, "bad_request", "request body is not valid UTF-8");
     };
@@ -725,7 +405,7 @@ fn handle_batch(state: &DispatchState2, request: &Request) -> Response {
 }
 
 /// `POST /v1/shards`: admin join — `{"addr":"host:port"}`.
-fn handle_shard_join(state: &DispatchState2, request: &Request) -> Response {
+fn handle_shard_join(state: &DispatchState, request: &Request) -> Response {
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return error_response(400, "bad_request", "request body is not valid UTF-8");
     };
@@ -755,7 +435,7 @@ fn handle_shard_join(state: &DispatchState2, request: &Request) -> Response {
 }
 
 /// The shard roster with per-shard health and telemetry.
-fn shards_array(state: &DispatchState2) -> Value {
+fn shards_array(state: &DispatchState) -> Value {
     Value::Array(
         state
             .table
@@ -787,7 +467,7 @@ fn shards_array(state: &DispatchState2) -> Value {
     )
 }
 
-fn shards_body(state: &DispatchState2) -> String {
+fn shards_body(state: &DispatchState) -> String {
     Value::object(vec![
         ("v", Value::UInt(WIRE_V)),
         ("shards", shards_array(state)),
@@ -797,27 +477,12 @@ fn shards_body(state: &DispatchState2) -> String {
 
 /// `GET /v1/stats`: the cluster view — shard roster, queue, job
 /// counters, forwarding metrics, uptime.
-fn stats_body(state: &DispatchState2) -> String {
-    let counts = state.store.counts();
+fn stats_body(state: &DispatchState) -> String {
     Value::object(vec![
         ("v", Value::UInt(WIRE_V)),
         ("shards", shards_array(state)),
-        (
-            "queue",
-            Value::object(vec![
-                ("depth", Value::UInt(state.queue.depth() as u64)),
-                ("capacity", Value::UInt(state.queue.capacity() as u64)),
-            ]),
-        ),
-        (
-            "jobs",
-            Value::object(vec![
-                ("submitted", Value::UInt(counts.submitted)),
-                ("completed", Value::UInt(counts.completed)),
-                ("failed", Value::UInt(counts.failed)),
-                ("expired", Value::UInt(counts.expired)),
-            ]),
-        ),
+        ("queue", state.jobs.queue_stats()),
+        ("jobs", Value::object(state.jobs.job_counts())),
         (
             "forward",
             Value::object(vec![

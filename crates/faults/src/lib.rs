@@ -13,10 +13,10 @@
 //! * **storage** — [`FaultyStore`] decorates any
 //!   [`TemplateStore`](frozenqubits::TemplateStore);
 //! * **transport** — `ShardConn` rolls [`FaultSite::Dial`] /
-//!   [`FaultSite::Response`], the serve and dispatch accept loops roll
+//!   [`FaultSite::Response`], and the listener both servers share rolls
 //!   [`FaultSite::Accept`];
-//! * **engine** — the worker pool rolls [`FaultSite::Worker`] before
-//!   executing a job.
+//! * **engine** — the shard's job function rolls [`FaultSite::Worker`]
+//!   before executing a job.
 //!
 //! Determinism is the point: the schedule is a pure function of
 //! `(seed, site, visit ordinal)`, so a failing chaos run reproduces

@@ -2,14 +2,15 @@
 //! examples, the e2e tests and CI smoke steps, with no dependencies
 //! beyond `std::net` (the same offline constraint as the server).
 //!
-//! Two tiers, by traffic shape:
+//! Two tiers, by traffic shape, with one response reader: both frame
+//! responses by `content-length` under the same size cap.
 //!
 //! * [`request`] and the typed helpers ([`submit_sync`],
 //!   [`submit_async`], [`poll`]) open one connection per call
 //!   (`connection: close`) — fine for smoke tests and scripts;
-//! * [`ShardConn`] holds a keep-alive `TcpStream` across requests and
-//!   frames responses by `content-length` — what `fq-dispatch` uses to
-//!   forward thousands of jobs without a TCP handshake per job.
+//! * [`ShardConn`] holds a keep-alive `TcpStream` across requests —
+//!   what `fq-dispatch` uses to forward thousands of jobs without a TCP
+//!   handshake per job.
 //!
 //! # Examples
 //!
@@ -27,7 +28,7 @@
 //! # Ok::<(), frozenqubits::FqError>(())
 //! ```
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,12 +77,13 @@ impl HttpResponse {
     }
 }
 
-/// Performs one HTTP request against `addr` and reads the full response.
+/// Performs one HTTP request against `addr` and reads the full
+/// `content-length`-framed response.
 ///
 /// # Errors
 ///
-/// [`FqError::Io`] for connection problems and [`FqError::Serde`] for an
-/// unparsable response.
+/// [`FqError::Io`] for connection problems, truncated or oversized
+/// responses, and [`FqError::Serde`] for an unparsable response.
 pub fn request(
     addr: &str,
     method: &str,
@@ -104,37 +106,9 @@ pub fn request(
     }
     stream.write_all(out.as_bytes())?;
 
-    // `connection: close` means the response ends at EOF.
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw)?;
-    parse_response(&raw)
-}
-
-fn parse_response(raw: &str) -> Result<HttpResponse, FqError> {
-    let bad = |msg: &str| FqError::Serde(format!("malformed HTTP response: {msg}"));
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| bad("no header/body separator"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    let status = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad(&format!("unparsable status line `{status_line}`")))?;
-    let headers = lines
-        .map(|line| {
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| bad(&format!("malformed header `{line}`")))?;
-            Ok((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect::<Result<_, FqError>>()?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body: body.to_string(),
-    })
+    // Framed like every keep-alive response, so the same size cap holds.
+    let (response, _) = read_framed_response(&mut BufReader::new(stream))?;
+    Ok(response)
 }
 
 /// Turns a non-2xx service response into an [`FqError::Io`] carrying the
@@ -318,11 +292,9 @@ impl ShardConn {
     }
 }
 
-/// Reads one `content-length`-framed response from a keep-alive stream.
-/// Returns the response and whether the server asked to close.
-fn read_framed_response(
-    reader: &mut BufReader<TcpStream>,
-) -> Result<(HttpResponse, bool), FqError> {
+/// Reads one `content-length`-framed response. Returns the response
+/// and whether the server asked to close.
+fn read_framed_response(reader: &mut impl BufRead) -> Result<(HttpResponse, bool), FqError> {
     let truncated =
         |at: &str| FqError::Io(format!("truncated HTTP response: connection closed {at}"));
     let bad = |msg: &str| FqError::Serde(format!("malformed HTTP response: {msg}"));
@@ -535,11 +507,37 @@ mod tests {
 
     #[test]
     fn parses_responses() {
-        let raw = "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\nRetry-After: 1\r\n\r\n{}";
-        let response = parse_response(raw).unwrap();
+        let raw = "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\nRetry-After: 1\r\ncontent-length: 2\r\n\r\n{}";
+        let (response, close) = read_framed_response(&mut raw.as_bytes()).unwrap();
         assert_eq!(response.status, 503);
         assert_eq!(response.header("retry-after"), Some("1"));
         assert_eq!(response.body, "{}");
-        assert!(parse_response("garbage").is_err());
+        assert!(!close);
+        assert!(read_framed_response(&mut "garbage\r\n\r\n".as_bytes()).is_err());
+    }
+
+    /// One-shot requests frame by `content-length` under the same cap
+    /// as keep-alive ones: a peer announcing a huge body is refused
+    /// before anything is buffered.
+    #[test]
+    fn one_shot_requests_refuse_oversized_responses() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999\r\n\r\n")
+                .unwrap();
+        });
+        match request(&addr, "GET", "/v1/templates", None).unwrap_err() {
+            FqError::Io(message) => assert!(message.contains("oversized"), "got `{message}`"),
+            other => panic!("expected Io, got {other:?}"),
+        }
+        peer.join().unwrap();
     }
 }

@@ -13,7 +13,7 @@
 //! `http_version`, `queue_full`, `shutting_down`, `timeout`); `message`
 //! is human-readable and may change wording freely.
 
-use frozenqubits::{FqError, JobId};
+use frozenqubits::FqError;
 use serde::json::Value;
 
 use crate::http::Response;
@@ -39,30 +39,23 @@ pub fn kind_name(error: &FqError) -> &'static str {
     }
 }
 
-/// The HTTP status class for an [`FqError`].
-///
-/// * wire-format problems ([`FqError::Serde`]) are the client's request
-///   syntax → `400`;
-/// * validation failures (invalid config, too many frozen qubits,
-///   malformed problem graphs/models) are well-formed but unprocessable
-///   → `422`;
-/// * everything else is the engine's problem → `500`.
+/// The HTTP status class for an [`FqError`]: [`status_for_kind`] of
+/// its [`kind_name`], so a shard's direct answer and the dispatcher's
+/// answer for a job a shard degraded cannot drift apart.
 pub fn status_for(error: &FqError) -> u16 {
-    match error {
-        FqError::Serde(_) => 400,
-        FqError::InvalidConfig(_)
-        | FqError::TooManyFrozen { .. }
-        | FqError::Graph(_)
-        | FqError::Ising(_)
-        | FqError::UnknownTier(_) => 422,
-        _ => 500,
-    }
+    status_for_kind(kind_name(error))
 }
 
-/// [`status_for`] keyed by the wire tag instead of the error value:
-/// the status a shard uses for an error of this `kind`. The dispatcher
-/// uses it to reconstruct a synchronous response from a poll envelope
-/// after a shard degraded a slow job to `202`.
+/// The status a shard uses for an error of wire tag `kind`. The
+/// dispatcher uses it to reconstruct a synchronous response from a poll
+/// envelope after a shard degraded a slow job to `202`.
+///
+/// * wire-format problems (`serde`) are the client's request syntax →
+///   `400`;
+/// * validation failures (invalid config, too many frozen qubits,
+///   malformed problem graphs/models, unknown tiers) are well-formed but
+///   unprocessable → `422`;
+/// * everything else is the engine's problem → `500`.
 pub fn status_for_kind(kind: &str) -> u16 {
     match kind {
         "serde" => 400,
@@ -91,11 +84,20 @@ pub fn error_response(status: u16, kind: &str, message: &str) -> Response {
     Response::json(status, error_body(kind, message))
 }
 
-/// The error response for a job that failed with `error`, tagged with the
-/// job id so sync submitters can still correlate.
-pub(crate) fn job_error_response(id: JobId, error: &FqError) -> Response {
-    error_response(status_for(error), kind_name(error), &error.to_string())
-        .with_header("fq-job-id", id.to_string())
+/// `404` for a target no route serves.
+pub fn not_found(path: &str) -> Response {
+    error_response(404, "not_found", &format!("no route for `{path}`"))
+}
+
+/// `405` for a known path hit with the wrong `method`, naming the
+/// methods it does `allow` (also as the `allow` header).
+pub fn method_not_allowed(method: &str, allow: &'static str) -> Response {
+    error_response(
+        405,
+        "method_not_allowed",
+        &format!("{method} is not allowed here; allowed: {allow}"),
+    )
+    .with_header("allow", allow)
 }
 
 #[cfg(test)]

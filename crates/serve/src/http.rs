@@ -53,6 +53,19 @@ impl Request {
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Checks a static bearer token: with `token` unset everything
+    /// passes; with one, only an exact `authorization: Bearer <token>`.
+    #[must_use]
+    pub fn authorized(&self, token: Option<&str>) -> bool {
+        match token {
+            None => true,
+            Some(token) => self
+                .header("authorization")
+                .and_then(|value| value.strip_prefix("Bearer "))
+                .is_some_and(|presented| presented == token),
+        }
+    }
 }
 
 /// Why a request could not be read. Every variant maps to a close-worthy

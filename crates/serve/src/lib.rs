@@ -12,6 +12,10 @@
 //! * a **worker pool** draining the queue through one shared
 //!   [`BatchRunner`](frozenqubits::BatchRunner) — concurrent clients
 //!   warm each other's compiled templates;
+//! * the same substrate, public for the `fq-dispatch` front door: the
+//!   [`listener`], the [`jobs`] desk (a bounded queue and the job
+//!   registry behind one submit path and one poll path) and the
+//!   [`worker`] pool;
 //! * four endpoints under `/v1`:
 //!
 //! | endpoint | what it does |
@@ -57,14 +61,17 @@
 pub mod client;
 pub mod error;
 pub mod http;
+pub mod jobs;
+pub mod listener;
 mod queue;
 mod router;
 mod server;
 mod store;
 pub mod wire;
-mod worker;
+pub mod worker;
 
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use listener::ServerHandle;
+pub use server::{Server, ServerConfig};
 
 // The service names jobs with the core's `JobId`; re-exported so client
 // code doesn't need a direct `frozenqubits` dependency for polling.

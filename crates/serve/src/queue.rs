@@ -1,27 +1,17 @@
-//! The bounded submission queue between the HTTP accept path and the
-//! worker pool.
+//! The bounded queue between an HTTP accept path and a worker pool —
+//! the shard's jobs waiting for workers, the dispatcher's waiting for
+//! forwarders.
 //!
 //! A plain `Mutex<VecDeque>` + `Condvar` MPMC queue. Submissions never
-//! block: when the queue is full, [`JobQueue::push`] fails immediately
-//! and the HTTP layer turns that into `503` backpressure — the client,
-//! not the server, holds the retry state. Workers block in
-//! [`JobQueue::pop`] until an item or shutdown arrives; after
-//! [`JobQueue::close`] they drain what is already queued and then see
-//! `None`.
+//! block: when the queue is full, [`BoundedQueue::push`] fails
+//! immediately and the HTTP layer turns that into `503` backpressure —
+//! the client, not the server, holds the retry state. Workers block in
+//! [`BoundedQueue::pop`] until an item or shutdown arrives; after
+//! [`BoundedQueue::close`] they drain what is already queued and then
+//! see `None`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-
-use frozenqubits::{JobId, JobSpec};
-
-/// One queued submission.
-#[derive(Debug)]
-pub(crate) struct QueuedJob {
-    /// The id the store minted for this submission.
-    pub(crate) id: JobId,
-    /// The validated-on-parse job spec.
-    pub(crate) spec: JobSpec,
-}
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -33,23 +23,23 @@ pub(crate) enum PushError {
 }
 
 #[derive(Debug)]
-struct Inner {
-    items: VecDeque<QueuedJob>,
+struct Inner<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// A bounded MPMC job queue.
+/// A bounded MPMC queue.
 #[derive(Debug)]
-pub(crate) struct JobQueue {
-    inner: Mutex<Inner>,
+pub(crate) struct BoundedQueue<T> {
+    inner: Mutex<Inner<T>>,
     capacity: usize,
     ready: Condvar,
 }
 
-impl JobQueue {
-    /// A queue holding at most `capacity` pending jobs.
-    pub(crate) fn new(capacity: usize) -> JobQueue {
-        JobQueue {
+impl<T> BoundedQueue<T> {
+    /// A queue holding at most `capacity` pending items.
+    pub(crate) fn new(capacity: usize) -> BoundedQueue<T> {
+        BoundedQueue {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
                 closed: false,
@@ -60,7 +50,7 @@ impl JobQueue {
     }
 
     /// Enqueues without blocking; fails when full or closed.
-    pub(crate) fn push(&self, job: QueuedJob) -> Result<(), PushError> {
+    pub(crate) fn push(&self, item: T) -> Result<(), PushError> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         if inner.closed {
             return Err(PushError::Closed);
@@ -68,19 +58,19 @@ impl JobQueue {
         if inner.items.len() >= self.capacity {
             return Err(PushError::Full);
         }
-        inner.items.push_back(job);
+        inner.items.push_back(item);
         drop(inner);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Blocks until a job is available or the queue is closed **and**
+    /// Blocks until an item is available or the queue is closed **and**
     /// drained; `None` tells a worker to exit.
-    pub(crate) fn pop(&self) -> Option<QueuedJob> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue lock poisoned");
         loop {
-            if let Some(job) = inner.items.pop_front() {
-                return Some(job);
+            if let Some(item) = inner.items.pop_front() {
+                return Some(item);
             }
             if inner.closed {
                 return None;
@@ -89,7 +79,7 @@ impl JobQueue {
         }
     }
 
-    /// Current number of pending jobs.
+    /// Current number of pending items.
     pub(crate) fn depth(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").items.len()
     }
@@ -100,7 +90,7 @@ impl JobQueue {
     }
 
     /// Marks the queue closed and wakes every waiting worker. Already
-    /// queued jobs still drain.
+    /// queued items still drain.
     pub(crate) fn close(&self) {
         self.inner.lock().expect("queue lock poisoned").closed = true;
         self.ready.notify_all();
@@ -110,47 +100,34 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frozenqubits::api::{DeviceSpec, JobBuilder};
-
-    fn job(id: u64) -> QueuedJob {
-        QueuedJob {
-            id: JobId::new(id),
-            spec: JobBuilder::new()
-                .barabasi_albert(8, 1, 1)
-                .device(DeviceSpec::IbmMontreal)
-                .baseline()
-                .build()
-                .unwrap(),
-        }
-    }
 
     #[test]
     fn bounded_fifo_with_backpressure() {
-        let queue = JobQueue::new(2);
+        let queue = BoundedQueue::new(2);
         assert_eq!(queue.capacity(), 2);
-        queue.push(job(1)).unwrap();
-        queue.push(job(2)).unwrap();
-        assert_eq!(queue.push(job(3)).unwrap_err(), PushError::Full);
+        queue.push(1).unwrap();
+        queue.push(2).unwrap();
+        assert_eq!(queue.push(3).unwrap_err(), PushError::Full);
         assert_eq!(queue.depth(), 2);
-        assert_eq!(queue.pop().unwrap().id, JobId::new(1));
-        queue.push(job(3)).unwrap();
-        assert_eq!(queue.pop().unwrap().id, JobId::new(2));
-        assert_eq!(queue.pop().unwrap().id, JobId::new(3));
+        assert_eq!(queue.pop(), Some(1));
+        queue.push(3).unwrap();
+        assert_eq!(queue.pop(), Some(2));
+        assert_eq!(queue.pop(), Some(3));
     }
 
     #[test]
     fn close_drains_then_stops() {
-        let queue = JobQueue::new(4);
-        queue.push(job(1)).unwrap();
+        let queue = BoundedQueue::new(4);
+        queue.push(1).unwrap();
         queue.close();
-        assert_eq!(queue.push(job(2)).unwrap_err(), PushError::Closed);
-        assert_eq!(queue.pop().unwrap().id, JobId::new(1));
+        assert_eq!(queue.push(2).unwrap_err(), PushError::Closed);
+        assert_eq!(queue.pop(), Some(1));
         assert!(queue.pop().is_none());
     }
 
     #[test]
     fn close_wakes_blocked_workers() {
-        let queue = std::sync::Arc::new(JobQueue::new(1));
+        let queue = std::sync::Arc::new(BoundedQueue::<u64>::new(1));
         let waiter = {
             let queue = queue.clone();
             std::thread::spawn(move || queue.pop())

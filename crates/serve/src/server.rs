@@ -1,15 +1,16 @@
-//! The server proper: configuration, the accept loop, per-connection
-//! request handling, and the endpoint implementations.
+//! The shard proper: configuration, the endpoint implementations, and
+//! the wiring of the shared substrate — the [`Listener`], the [`Jobs`]
+//! desk and the [`WorkerPool`] — around one shared `BatchRunner`.
 //!
 //! The data path is
 //!
 //! ```text
-//! TcpListener ──▶ connection threads ──▶ bounded JobQueue ──▶ worker pool
-//!                      (parse spec,            │                  │
-//!                       mint JobId)            ▼                  ▼
-//!                                         503 when full    shared BatchRunner
-//!                                                          (one TemplateCache —
-//!                                                           clients warm each other)
+//! Listener ──▶ connection threads ──▶ Jobs: bounded queue ──▶ worker pool
+//!                 (parse spec,              │                    │
+//!                  mint JobId)              ▼                    ▼
+//!                                      503 when full      shared BatchRunner
+//!                                                         (one TemplateCache —
+//!                                                          clients warm each other)
 //! ```
 //!
 //! Submissions are synchronous by default (`POST /v1/jobs` blocks until
@@ -18,28 +19,25 @@
 //! /v1/jobs/{id}`). Either way the job goes through the same queue and
 //! workers, so backpressure and cache warming behave identically.
 
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use fq_faults::{FaultKind, FaultPlan, FaultSite, FaultyStore};
+use fq_faults::{FaultPlan, FaultyStore};
 use frozenqubits::api::BackendSpec;
 use frozenqubits::{
-    BatchRunner, DiskStore, FqError, JobSpec, MemoryStore, QosTier, TemplateArtifact,
+    BatchRunner, DiskStore, FqError, JobResult, JobSpec, MemoryStore, QosTier, TemplateArtifact,
     TemplateStore, TieredStore,
 };
 use serde::json::Value;
 
-use crate::error::{error_response, job_error_response, kind_name, status_for};
-use crate::http::{self, ReadError, Request, Response};
-use crate::queue::{JobQueue, PushError, QueuedJob};
+use crate::error::{error_response, kind_name, method_not_allowed, not_found, status_for};
+use crate::http::{Request, Response};
+use crate::jobs::Jobs;
+use crate::listener::{Limits, Listener, ServerHandle};
 use crate::router::{route, Route};
-use crate::store::{JobState, JobStore, Lookup};
-use crate::wire::{job_envelope, submit_ack, WIRE_V};
-use crate::worker::WorkerPool;
+use crate::wire::{healthz_body, WIRE_V};
+use crate::worker::{execute, WorkerPool};
 
 /// Server configuration. Start from [`ServerConfig::default`] and
 /// override what you need; every field has a conservative default.
@@ -137,8 +135,9 @@ pub struct ServerConfig {
     pub auth_token: Option<String>,
     /// Chaos-test fault injection (see `fq-faults`). When set, the
     /// template store is wrapped in a [`FaultyStore`], the accept loop
-    /// rolls [`FaultSite::Accept`] per connection, and workers roll
-    /// [`FaultSite::Worker`] per job. `None` (the default, and the only
+    /// rolls [`FaultSite::Accept`](fq_faults::FaultSite::Accept) per
+    /// connection, and workers roll
+    /// [`FaultSite::Worker`](fq_faults::FaultSite::Worker) per job. `None` (the default, and the only
     /// production setting) leaves every path byte-identical to a build
     /// without the hooks.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -173,12 +172,11 @@ impl Default for ServerConfig {
 /// Everything the request handlers share.
 #[derive(Debug)]
 struct ServerState {
-    queue: Arc<JobQueue>,
-    store: Arc<JobStore>,
+    jobs: Arc<Jobs<JobSpec, Result<JobResult, FqError>>>,
     runner: Arc<BatchRunner>,
     config: ServerConfig,
-    /// Workers executing a job right now (incremented/decremented by
-    /// the pool around each job) — the in-flight half of `/v1/stats`.
+    /// Workers executing a job right now (held high by each job's
+    /// execution span) — the in-flight half of `/v1/stats`.
     busy: Arc<AtomicUsize>,
     /// When the server came up; `/v1/stats` reports the elapsed time so
     /// a dispatcher can tell a fresh (cold-cache) shard from a veteran.
@@ -203,18 +201,22 @@ impl Server {
     /// [`FqError::InvalidConfig`] for a zero `queue_capacity`;
     /// [`FqError::Io`] when the bind fails.
     pub fn spawn(config: ServerConfig) -> Result<ServerHandle, FqError> {
-        if config.queue_capacity == 0 {
-            return Err(FqError::InvalidConfig(
-                "queue_capacity must be at least 1".into(),
-            ));
-        }
-        if config.max_connections == 0 {
-            return Err(FqError::InvalidConfig(
-                "max_connections must be at least 1".into(),
-            ));
-        }
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
+        let jobs = Arc::new(Jobs::new(
+            config.queue_capacity,
+            config.job_ttl,
+            config.max_done_jobs,
+            config.sync_wait,
+        )?);
+        let listener = Listener::bind(
+            &config.addr,
+            Limits {
+                max_connections: config.max_connections,
+                max_body_bytes: config.max_body_bytes,
+                read_timeout: config.read_timeout,
+                request_deadline: config.request_deadline,
+                fault_plan: config.fault_plan.clone(),
+            },
+        )?;
 
         let mut runner = BatchRunner::new().with_threads(config.engine_threads);
         runner = match (&config.cache_dir, config.cache_capacity) {
@@ -253,120 +255,30 @@ impl Server {
                 }
             }
         }
-        let queue = Arc::new(JobQueue::new(config.queue_capacity));
-        let store = Arc::new(JobStore::new(config.job_ttl, config.max_done_jobs));
         let runner = Arc::new(runner);
         let busy = Arc::new(AtomicUsize::new(0));
-        let pool = WorkerPool::spawn(
-            config.workers,
-            Arc::clone(&queue),
-            Arc::clone(&store),
-            Arc::clone(&runner),
-            Arc::clone(&busy),
-            config.fault_plan.clone(),
-        );
+        let pool = WorkerPool::spawn("fq-serve-worker", config.workers, &jobs, || {
+            let runner = Arc::clone(&runner);
+            let busy = Arc::clone(&busy);
+            let fault_plan = config.fault_plan.clone();
+            move |spec: &JobSpec| execute(&runner, &busy, fault_plan.as_deref(), spec)
+        });
         let state = Arc::new(ServerState {
-            queue: Arc::clone(&queue),
-            store,
+            jobs: Arc::clone(&jobs),
             runner,
             config,
             busy,
             started: Instant::now(),
             tier_submitted: Default::default(),
         });
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let spawned = thread::Builder::new()
-                .name("fq-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &state, &stop));
-            match spawned {
-                Ok(handle) => handle,
-                Err(e) => {
-                    // Unwind the already-running pool: otherwise its
-                    // workers block on the never-closed queue forever.
-                    queue.close();
-                    pool.join();
-                    return Err(FqError::Io(format!("spawning the accept thread: {e}")));
-                }
-            }
-        };
-
-        Ok(ServerHandle {
-            addr,
-            stop,
-            accept: Some(accept),
-            pool: Some(pool),
-            queue,
-        })
-    }
-}
-
-/// A running server: address discovery plus orderly shutdown.
-///
-/// Dropping the handle shuts the server down (stops accepting, closes
-/// the queue, drains queued jobs through the workers, joins them), so a
-/// test that panics still releases its port and threads.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
-    queue: Arc<JobQueue>,
-}
-
-impl ServerHandle {
-    /// The actual bound address (resolves `:0` ephemeral binds).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, drains already-queued jobs through the workers,
-    /// and joins the accept and worker threads.
-    pub fn shutdown(mut self) {
-        self.stop_internal();
-    }
-
-    /// Blocks the calling thread for the server's lifetime (the `serve`
-    /// binary's main loop). Returns only if the accept loop exits, then
-    /// performs the same cleanup as [`ServerHandle::shutdown`].
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.stop_internal();
-    }
-
-    fn stop_internal(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the accept loop: `TcpListener::accept` has no timeout, so
-        // poke it with a throwaway connection. A `0.0.0.0`/`[::]` bind
-        // is not connectable on every platform — poke loopback instead.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        self.queue.close();
-        if let Some(pool) = self.pool.take() {
-            pool.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop_internal();
+        listener.serve(
+            "fq-serve",
+            move |request| handle_request(&state, request),
+            move || {
+                jobs.close();
+                pool.join();
+            },
+        )
     }
 }
 
@@ -379,146 +291,13 @@ fn faulted(store: Box<dyn TemplateStore>, plan: Option<&Arc<FaultPlan>>) -> Box<
     }
 }
 
-/// Decrements the live-connection count even if a handler panics.
-struct ConnectionSlot(Arc<AtomicUsize>);
-
-impl Drop for ConnectionSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Refuses an over-cap connection with `503`, then drains the client's
-/// already-sent request bytes before closing. Closing with unread data
-/// in the receive queue makes the kernel RST the connection and discard
-/// the queued response — the client would see "connection reset"
-/// instead of the 503 (a race the connection-cap test hits under load).
-/// The drain is bounded by a short read timeout so a hostile peer can
-/// only hold the accept thread briefly.
-fn shed_connection(mut stream: TcpStream) {
-    let _ = error_response(503, "overloaded", "connection limit reached")
-        .write(&mut stream, false)
-        .and_then(|()| stream.shutdown(std::net::Shutdown::Write));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut scratch = [0u8; 4096];
-    while matches!(std::io::Read::read(&mut stream, &mut scratch), Ok(n) if n > 0) {}
-}
-
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
-    let active = Arc::new(AtomicUsize::new(0));
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match conn {
-            Ok(stream) => stream,
-            Err(_) => {
-                // Persistent accept errors (e.g. fd exhaustion) would
-                // otherwise busy-spin this thread at 100% CPU; back off
-                // briefly so in-flight connections can release fds.
-                thread::sleep(Duration::from_millis(50));
-                continue;
-            }
-        };
-        // Connection cap: beyond it, shed load with an immediate 503
-        // instead of spawning an unbounded number of threads.
-        if active.load(Ordering::SeqCst) >= state.config.max_connections {
-            shed_connection(stream);
-            continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let slot = ConnectionSlot(Arc::clone(&active));
-        let state = Arc::clone(state);
-        let stop = Arc::clone(stop);
-        // Connection threads are detached: each is bounded by the
-        // per-request deadline + read timeout, counted against
-        // `max_connections`, and closed (`connection: close`) once
-        // `stop` is set.
-        let spawned = thread::Builder::new()
-            .name("fq-serve-conn".into())
-            .spawn(move || {
-                let _slot = slot;
-                handle_connection(stream, &state, &stop);
-            });
-        // Spawn failure: `slot` moved into the closure that never ran —
-        // it is dropped with the error, releasing the count.
-        drop(spawned);
-    }
-}
-
-/// Serves one connection: a keep-alive loop of read → route → respond.
-/// Framing errors answer with the mapped status (when one applies) and
-/// close; the loop also closes once shutdown has begun.
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
-    if let Some(plan) = &state.config.fault_plan {
-        match plan.roll(FaultSite::Accept) {
-            // Drop the accepted connection before reading a byte — the
-            // client sees a reset/EOF, the transport shape of a shard
-            // dying between `connect` and its first response.
-            Some(FaultKind::Refuse) => return,
-            // Sit on the connection (paused-shard / slow-loris shape):
-            // the client's read blocks until its own timeout fires.
-            Some(FaultKind::Stall(ms)) => thread::sleep(Duration::from_millis(ms)),
-            _ => {}
-        }
-    }
-    let _ = stream.set_read_timeout(Some(state.config.read_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(http::DeadlineReader::new(read_half));
-    loop {
-        // Arm the slow-drip guard: this whole request must arrive within
-        // `request_deadline` (reads already in flight add at most one
-        // `read_timeout`).
-        reader.get_mut().arm(state.config.request_deadline);
-        match http::read_request(&mut reader, state.config.max_body_bytes) {
-            Ok(request) => {
-                let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
-                let response = handle_request(state, &request);
-                if response.write(&mut stream, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(error) => {
-                if let Some(status) = error.status() {
-                    let kind = match &error {
-                        ReadError::PayloadTooLarge { .. } => "payload_too_large",
-                        ReadError::NotImplemented(_) => "not_implemented",
-                        ReadError::VersionNotSupported(_) => "http_version",
-                        _ => "bad_request",
-                    };
-                    let _ =
-                        error_response(status, kind, &error.message()).write(&mut stream, false);
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// Routes and executes one request.
 fn handle_request(state: &ServerState, request: &Request) -> Response {
     match route(&request.method, &request.path) {
-        Route::Healthz => Response::json(
-            200,
-            Value::object(vec![
-                ("v", Value::UInt(WIRE_V)),
-                ("status", Value::string("ok")),
-            ])
-            .to_json(),
-        ),
+        Route::Healthz => Response::json(200, healthz_body()),
         Route::Stats => Response::json(200, stats_body(state)),
-        Route::Submit => handle_submit(state, request),
-        Route::Job(id) => match state.store.lookup(id) {
-            Lookup::Active(job_state) => Response::json(200, job_envelope(id, &job_state)),
-            Lookup::Expired => error_response(
-                410,
-                "expired",
-                &format!("job `{id}` finished, but its result passed the retention bound (TTL/count) and was expired"),
-            ),
-            Lookup::Unknown => error_response(404, "not_found", &format!("no such job `{id}`")),
-        },
+        Route::Submit => state.jobs.submit(request, |body| parse_spec(state, body)),
+        Route::Job(id) => state.jobs.poll(id),
         // The message is `JobId::FromStr`'s own (carried through the
         // router), so the wire-facing text has exactly one source.
         Route::MalformedJobId(message) => error_response(400, "bad_request", &message),
@@ -531,7 +310,7 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
                 &format!("no template `{fingerprint}` resident"),
             ),
         },
-        Route::TemplatePush => match authorized(state, request) {
+        Route::TemplatePush => match request.authorized(state.config.auth_token.as_deref()) {
             true => handle_template_push(state, request),
             false => error_response(
                 401,
@@ -540,43 +319,17 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
             ),
         },
         Route::MalformedFingerprint(message) => error_response(400, "bad_request", &message),
-        Route::MethodNotAllowed { allow } => error_response(
-            405,
-            "method_not_allowed",
-            &format!("{} is not allowed here; allowed: {allow}", request.method),
-        )
-        .with_header("allow", allow),
-        Route::NotFound => error_response(
-            404,
-            "not_found",
-            &format!("no route for `{}`", request.path),
-        ),
+        Route::MethodNotAllowed { allow } => method_not_allowed(&request.method, allow),
+        Route::NotFound => not_found(&request.path),
     }
 }
 
-/// `POST /v1/jobs`: parse → (optional backend pin) → enqueue → sync wait
-/// or async acknowledgement.
-fn handle_submit(state: &ServerState, request: &Request) -> Response {
-    let sync = match request.query_param("mode") {
-        None | Some("sync") => true,
-        Some("async") => false,
-        Some(other) => {
-            return error_response(
-                400,
-                "bad_request",
-                &format!("unknown mode `{other}` (expected sync or async)"),
-            )
-        }
-    };
-    let Ok(body) = std::str::from_utf8(&request.body) else {
-        return error_response(400, "bad_request", "request body is not valid UTF-8");
-    };
-    let spec = match JobSpec::from_json(body) {
-        Ok(spec) => spec,
-        Err(error) => {
-            return error_response(status_for(&error), kind_name(&error), &error.to_string())
-        }
-    };
+/// The shard's parse of a `POST /v1/jobs` body: decode the spec, apply
+/// the operator's backend pin, and count the submission's tier.
+fn parse_spec(state: &ServerState, body: &str) -> Result<JobSpec, Response> {
+    let spec = JobSpec::from_json(body).map_err(|error| {
+        error_response(status_for(&error), kind_name(&error), &error.to_string())
+    })?;
     let spec = match state.config.backend_override {
         Some(backend) => spec.with_backend(backend),
         None => spec,
@@ -584,49 +337,7 @@ fn handle_submit(state: &ServerState, request: &Request) -> Response {
     if let Some(slot) = QosTier::ALL.iter().position(|&t| t == spec.config.tier) {
         state.tier_submitted[slot].fetch_add(1, Ordering::SeqCst);
     }
-
-    let id = state.store.register();
-    match state.queue.push(QueuedJob { id, spec }) {
-        Ok(()) => {}
-        Err(PushError::Full) => {
-            state.store.discard(id);
-            return error_response(
-                503,
-                "queue_full",
-                &format!(
-                    "job queue is at capacity ({}); retry later",
-                    state.queue.capacity()
-                ),
-            )
-            .with_header("retry-after", "1");
-        }
-        Err(PushError::Closed) => {
-            state.store.discard(id);
-            return error_response(503, "shutting_down", "server is shutting down");
-        }
-    }
-
-    if !sync {
-        return Response::json(202, submit_ack(id))
-            .with_header("location", format!("/v1/jobs/{id}"))
-            .with_header("fq-job-id", id.to_string());
-    }
-    match state.store.await_done(id, state.config.sync_wait) {
-        // Finished in time: the body is the bare canonical JobResult
-        // document — byte-identical to `JobResult::to_json()` of a
-        // direct `BatchRunner` run of the same spec.
-        Some(JobState::Done(result)) => match result.as_ref() {
-            Ok(result) => {
-                Response::json(200, result.to_json()).with_header("fq-job-id", id.to_string())
-            }
-            Err(error) => job_error_response(id, error),
-        },
-        // Still queued/running after `sync_wait`: degrade to async.
-        Some(state_now) => Response::json(202, job_envelope(id, &state_now))
-            .with_header("location", format!("/v1/jobs/{id}"))
-            .with_header("fq-job-id", id.to_string()),
-        None => error_response(500, "internal", "job vanished from the registry"),
-    }
+    Ok(spec)
 }
 
 /// `POST /v1/templates`: accept a serialized template artifact into the
@@ -704,7 +415,22 @@ fn template_index_body(state: &ServerState) -> String {
 /// `GET /v1/stats`: cache, queue, job and worker telemetry.
 fn stats_body(state: &ServerState) -> String {
     let cache = state.runner.cache_stats();
-    let counts = state.store.counts();
+    let mut jobs = state.jobs.job_counts();
+    jobs.push((
+        "tiers",
+        Value::object(
+            QosTier::ALL
+                .iter()
+                .zip(&state.tier_submitted)
+                .map(|(tier, count)| {
+                    (
+                        tier.name(),
+                        Value::UInt(count.load(Ordering::SeqCst) as u64),
+                    )
+                })
+                .collect(),
+        ),
+    ));
     Value::object(vec![
         ("v", Value::UInt(WIRE_V)),
         (
@@ -725,37 +451,8 @@ fn stats_body(state: &ServerState) -> String {
                 ("spill_len", Value::UInt(cache.spill_len as u64)),
             ]),
         ),
-        (
-            "queue",
-            Value::object(vec![
-                ("depth", Value::UInt(state.queue.depth() as u64)),
-                ("capacity", Value::UInt(state.queue.capacity() as u64)),
-            ]),
-        ),
-        (
-            "jobs",
-            Value::object(vec![
-                ("submitted", Value::UInt(counts.submitted)),
-                ("completed", Value::UInt(counts.completed)),
-                ("failed", Value::UInt(counts.failed)),
-                ("expired", Value::UInt(counts.expired)),
-                (
-                    "tiers",
-                    Value::object(
-                        QosTier::ALL
-                            .iter()
-                            .zip(&state.tier_submitted)
-                            .map(|(tier, count)| {
-                                (
-                                    tier.name(),
-                                    Value::UInt(count.load(Ordering::SeqCst) as u64),
-                                )
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
+        ("queue", state.jobs.queue_stats()),
+        ("jobs", Value::object(jobs)),
         (
             "workers",
             Value::object(vec![
@@ -772,17 +469,4 @@ fn stats_body(state: &ServerState) -> String {
         ),
     ])
     .to_json()
-}
-
-/// Checks the static bearer token gating template pushes. A server
-/// started without `--auth-token` accepts everything (the pre-auth
-/// behavior); with one, only an exact `Bearer <token>` match passes.
-fn authorized(state: &ServerState, request: &Request) -> bool {
-    match &state.config.auth_token {
-        None => true,
-        Some(token) => request
-            .header("authorization")
-            .and_then(|value| value.strip_prefix("Bearer "))
-            .is_some_and(|presented| presented == token.as_str()),
-    }
 }

@@ -1,25 +1,31 @@
-//! The in-memory job registry: id allocation, lifecycle tracking,
-//! completion wake-ups for synchronous submitters, and bounded retention
-//! of finished jobs.
+//! The in-memory job registry both servers keep: id allocation,
+//! lifecycle tracking, completion wake-ups for synchronous submitters,
+//! and bounded retention of finished jobs.
 //!
 //! Every submission gets a monotonically increasing [`JobId`] and a
 //! state that only moves forward: `Queued → Running → Done`. Finished
-//! results are retained for polling, but not forever: a TTL and a count
+//! outcomes are retained for polling, but not forever: a TTL and a count
 //! bound expire the oldest completed entries (in completion order), so a
 //! long-running server's registry cannot grow without bound. Expired ids
 //! stay distinguishable from never-issued ids — polling one yields a
 //! structured `410 Gone`, not a `404` — via a compact tombstone set.
+//!
+//! What a finished job leaves behind is a [`JobOutcome`]: a shard
+//! records the engine's `Result<JobResult, FqError>`, the dispatcher the
+//! owning shard's answer verbatim.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use frozenqubits::{FqError, JobId, JobResult};
+use frozenqubits::JobId;
+
+use crate::jobs::JobOutcome;
 
 /// Where a job is in its lifecycle.
-#[derive(Clone, Debug)]
-pub(crate) enum JobState {
+#[derive(Debug)]
+pub(crate) enum JobState<T> {
     /// Accepted and waiting in the queue.
     Queued,
     /// Claimed by a worker and executing.
@@ -28,16 +34,27 @@ pub(crate) enum JobState {
     /// under the registry mutex, and a deep copy of a large sampling
     /// result per `GET /v1/jobs/{id}` would serialize every poller and
     /// worker behind an O(result-size) critical section.)
-    Done(std::sync::Arc<Result<JobResult, FqError>>),
+    Done(Arc<T>),
 }
 
-impl JobState {
-    /// The wire name of this state (`Done(Err)` reads as `failed`).
+// Manual impl: cloning shares the `Arc`, so `T` need not be `Clone`.
+impl<T> Clone for JobState<T> {
+    fn clone(&self) -> Self {
+        match self {
+            JobState::Queued => JobState::Queued,
+            JobState::Running => JobState::Running,
+            JobState::Done(outcome) => JobState::Done(Arc::clone(outcome)),
+        }
+    }
+}
+
+impl<T: JobOutcome> JobState<T> {
+    /// The wire name of this state (a failed outcome reads as `failed`).
     pub(crate) fn status_name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
-            JobState::Done(result) if result.is_ok() => "done",
+            JobState::Done(outcome) if outcome.is_ok() => "done",
             JobState::Done(_) => "failed",
         }
     }
@@ -45,10 +62,10 @@ impl JobState {
 
 /// What the registry knows about an id.
 #[derive(Clone, Debug)]
-pub(crate) enum Lookup {
+pub(crate) enum Lookup<T> {
     /// The job is live (queued, running, or retained done).
-    Active(JobState),
-    /// The job finished but its result was expired by the TTL or count
+    Active(JobState<T>),
+    /// The job finished but its outcome was expired by the TTL or count
     /// bound. → `410 Gone`.
     Expired,
     /// The id was never issued (or bounced before queueing). → `404`.
@@ -64,7 +81,7 @@ pub(crate) struct JobCounts {
     pub(crate) completed: u64,
     /// Jobs finished with an error.
     pub(crate) failed: u64,
-    /// Finished jobs whose retained results were expired.
+    /// Finished jobs whose retained outcomes were expired.
     pub(crate) expired: u64,
 }
 
@@ -74,9 +91,9 @@ pub(crate) struct JobCounts {
 /// (smallest) ids degrade to `404`.
 const MAX_TOMBSTONES: usize = 65_536;
 
-#[derive(Debug, Default)]
-struct Registry {
-    jobs: HashMap<u64, JobState>,
+#[derive(Debug)]
+struct Inner<T> {
+    jobs: HashMap<u64, JobState<T>>,
     /// Completed ids in completion order, with their completion times —
     /// the expiry scan order.
     done_order: VecDeque<(u64, Instant)>,
@@ -85,29 +102,33 @@ struct Registry {
     tombstones: BTreeSet<u64>,
 }
 
-/// The shared registry.
+/// The shared registry of jobs and their outcomes.
 #[derive(Debug)]
-pub(crate) struct JobStore {
-    inner: Mutex<Registry>,
+pub(crate) struct Registry<T> {
+    inner: Mutex<Inner<T>>,
     finished: Condvar,
     next_id: AtomicU64,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     expired: AtomicU64,
-    /// How long a finished result is retained.
+    /// How long a finished outcome is retained.
     ttl: Duration,
-    /// Most finished results retained at once.
+    /// Most finished outcomes retained at once.
     max_done: usize,
 }
 
-impl JobStore {
-    /// An empty registry; ids start at 1. Finished results are retained
+impl<T: JobOutcome> Registry<T> {
+    /// An empty registry; ids start at 1. Finished outcomes are retained
     /// for at most `ttl`, and at most `max_done` of them at once
     /// (oldest-completed first out).
-    pub(crate) fn new(ttl: Duration, max_done: usize) -> JobStore {
-        JobStore {
-            inner: Mutex::new(Registry::default()),
+    pub(crate) fn new(ttl: Duration, max_done: usize) -> Registry<T> {
+        Registry {
+            inner: Mutex::new(Inner {
+                jobs: HashMap::new(),
+                done_order: VecDeque::new(),
+                tombstones: BTreeSet::new(),
+            }),
             finished: Condvar::new(),
             next_id: AtomicU64::new(1),
             submitted: AtomicU64::new(0),
@@ -122,7 +143,7 @@ impl JobStore {
     /// Expires finished entries that are over the TTL or beyond the
     /// count bound. Called under the registry lock from every mutation
     /// and lookup, so expiry needs no background thread.
-    fn prune(&self, registry: &mut Registry, now: Instant) {
+    fn prune(&self, registry: &mut Inner<T>, now: Instant) {
         while let Some(&(id, done_at)) = registry.done_order.front() {
             let over_count = registry.done_order.len() > self.max_done;
             let over_ttl = now.duration_since(done_at) >= self.ttl;
@@ -171,26 +192,26 @@ impl JobStore {
             .insert(id.value(), JobState::Running);
     }
 
-    /// Records `id`'s final result and wakes synchronous waiters.
-    pub(crate) fn complete(&self, id: JobId, result: Result<JobResult, FqError>) {
-        match &result {
-            Ok(_) => self.completed.fetch_add(1, Ordering::Relaxed),
-            Err(_) => self.failed.fetch_add(1, Ordering::Relaxed),
+    /// Records `id`'s outcome and wakes synchronous waiters.
+    pub(crate) fn complete(&self, id: JobId, outcome: T) {
+        match outcome.is_ok() {
+            true => self.completed.fetch_add(1, Ordering::Relaxed),
+            false => self.failed.fetch_add(1, Ordering::Relaxed),
         };
         let now = Instant::now();
         let mut registry = self.inner.lock().expect("store lock poisoned");
         registry
             .jobs
-            .insert(id.value(), JobState::Done(std::sync::Arc::new(result)));
+            .insert(id.value(), JobState::Done(Arc::new(outcome)));
         registry.done_order.push_back((id.value(), now));
         self.prune(&mut registry, now);
         drop(registry);
         self.finished.notify_all();
     }
 
-    /// What the registry knows about `id`, expiring stale results on the
-    /// way.
-    pub(crate) fn lookup(&self, id: JobId) -> Lookup {
+    /// What the registry knows about `id`, expiring stale outcomes on
+    /// the way.
+    pub(crate) fn lookup(&self, id: JobId) -> Lookup<T> {
         let mut registry = self.inner.lock().expect("store lock poisoned");
         self.prune(&mut registry, Instant::now());
         match registry.jobs.get(&id.value()) {
@@ -200,11 +221,9 @@ impl JobStore {
         }
     }
 
-    /// The current state of `id`, if it is live (compatibility wrapper
-    /// over [`JobStore::lookup`]; the server itself routes through
-    /// `lookup` to distinguish expired ids).
+    /// The current state of `id`, if it is live.
     #[cfg(test)]
-    pub(crate) fn snapshot(&self, id: JobId) -> Option<JobState> {
+    pub(crate) fn snapshot(&self, id: JobId) -> Option<JobState<T>> {
         match self.lookup(id) {
             Lookup::Active(state) => Some(state),
             Lookup::Expired | Lookup::Unknown => None,
@@ -214,7 +233,7 @@ impl JobStore {
     /// Blocks until `id` finishes or `timeout` elapses; returns the
     /// last observed state (`Done(..)` unless the wait timed out), or
     /// `None` for an unknown (or already-expired) id.
-    pub(crate) fn await_done(&self, id: JobId, timeout: Duration) -> Option<JobState> {
+    pub(crate) fn await_done(&self, id: JobId, timeout: Duration) -> Option<JobState<T>> {
         let deadline = Instant::now() + timeout;
         let mut registry = self.inner.lock().expect("store lock poisoned");
         loop {
@@ -248,11 +267,13 @@ impl JobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frozenqubits::RunSummary;
+    use frozenqubits::{FqError, JobResult, RunSummary};
+
+    type ShardRegistry = Registry<Result<JobResult, FqError>>;
 
     /// Retention generous enough that nothing expires mid-test.
-    fn retentive() -> JobStore {
-        JobStore::new(Duration::from_secs(3600), 4096)
+    fn retentive() -> ShardRegistry {
+        ShardRegistry::new(Duration::from_secs(3600), 4096)
     }
 
     fn dummy_result() -> JobResult {
@@ -278,6 +299,7 @@ mod tests {
         assert!(matches!(store.snapshot(a), Some(JobState::Queued)));
         store.mark_running(a);
         assert!(matches!(store.snapshot(a), Some(JobState::Running)));
+        assert_eq!(store.snapshot(a).unwrap().status_name(), "running");
         store.complete(a, Ok(dummy_result()));
         assert_eq!(store.snapshot(a).unwrap().status_name(), "done");
         store.complete(b, Err(FqError::InvalidConfig("x".into())));
@@ -315,7 +337,7 @@ mod tests {
 
     #[test]
     fn await_done_wakes_on_completion() {
-        let store = std::sync::Arc::new(retentive());
+        let store = Arc::new(retentive());
         let id = store.register();
         let waiter = {
             let store = store.clone();
@@ -329,14 +351,26 @@ mod tests {
 
     #[test]
     fn ttl_expires_done_entries_into_tombstones() {
-        let store = JobStore::new(Duration::from_millis(20), 4096);
+        let store = ShardRegistry::new(Duration::from_millis(20), 4096);
         let id = store.register();
         store.complete(id, Ok(dummy_result()));
+        // A job cut short by a fault (a panicked worker, a shed forward)
+        // ends with a *failed* outcome; failures ride the same retention
+        // train as successes — expired, tombstoned, counted.
+        let failed = store.register();
+        store.mark_running(failed);
+        store.complete(failed, JobOutcome::panicked("injected"));
         assert!(matches!(store.lookup(id), Lookup::Active(_)));
+        assert!(matches!(store.lookup(failed), Lookup::Active(_)));
         std::thread::sleep(Duration::from_millis(30));
         assert!(matches!(store.lookup(id), Lookup::Expired));
         assert!(matches!(store.lookup(id), Lookup::Expired), "stays gone");
-        assert_eq!(store.counts().expired, 1);
+        assert!(
+            matches!(store.lookup(failed), Lookup::Expired),
+            "a failed outcome must expire like a successful one"
+        );
+        assert_eq!(store.counts().expired, 2);
+        assert_eq!(store.counts().failed, 1);
         // Queued/running entries never expire — only done ones do.
         let live = store.register();
         std::thread::sleep(Duration::from_millis(30));
@@ -345,7 +379,7 @@ mod tests {
 
     #[test]
     fn count_bound_expires_oldest_completed_first() {
-        let store = JobStore::new(Duration::from_secs(3600), 2);
+        let store = ShardRegistry::new(Duration::from_secs(3600), 2);
         let ids: Vec<JobId> = (0..3).map(|_| store.register()).collect();
         for &id in &ids {
             store.complete(id, Ok(dummy_result()));

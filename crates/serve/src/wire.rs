@@ -16,12 +16,21 @@
 use frozenqubits::{FqError, JobId, JobResult};
 use serde::json::Value;
 
-use crate::error::kind_name;
+use crate::jobs::JobOutcome;
 use crate::store::JobState;
 
 /// Version tag of the service envelopes (independent of the job-spec
 /// wire version).
 pub const WIRE_V: u64 = 1;
+
+/// The `GET /v1/healthz` body: `{"v":1,"status":"ok"}`.
+pub fn healthz_body() -> String {
+    Value::object(vec![
+        ("v", Value::UInt(WIRE_V)),
+        ("status", Value::string("ok")),
+    ])
+    .to_json()
+}
 
 /// The `{"v":1,"id":...,"status":...}` submission acknowledgement.
 pub fn submit_ack(id: JobId) -> String {
@@ -34,34 +43,36 @@ pub fn submit_ack(id: JobId) -> String {
 }
 
 /// The poll envelope for `GET /v1/jobs/{id}`: status plus, when
-/// finished, either the embedded result document or the error object.
-pub(crate) fn job_envelope(id: JobId, state: &JobState) -> String {
+/// finished, the outcome's body — embedded as the `result` document on
+/// success, or as its `error` object on failure. Embedding parses the
+/// canonical bytes, which round-trip byte-for-byte. A failure body that
+/// is not an error envelope (a misbehaving upstream's) is carried as
+/// the message of an `upstream` error.
+pub(crate) fn job_envelope<T: JobOutcome>(id: JobId, state: &JobState<T>) -> String {
     let mut pairs = vec![
         ("v", Value::UInt(WIRE_V)),
         ("id", Value::string(id.to_string())),
         ("status", Value::string(state.status_name())),
     ];
-    match state {
-        JobState::Done(result) => match result.as_ref() {
-            Ok(result) => pairs.push(("result", embed_result(result))),
-            Err(error) => pairs.push((
+    if let JobState::Done(outcome) = state {
+        let (_, body) = outcome.reply();
+        let document = Value::parse(&body);
+        pairs.push(if outcome.is_ok() {
+            ("result", document.unwrap_or(Value::Null))
+        } else {
+            let error = document.ok().and_then(|v| v.field("error").ok().cloned());
+            (
                 "error",
-                Value::object(vec![
-                    ("kind", Value::string(kind_name(error))),
-                    ("message", Value::string(error.to_string())),
-                ]),
-            )),
-        },
-        JobState::Queued | JobState::Running => {}
+                error.unwrap_or_else(|| {
+                    Value::object(vec![
+                        ("kind", Value::string("upstream")),
+                        ("message", Value::string(body)),
+                    ])
+                }),
+            )
+        });
     }
     Value::object(pairs).to_json()
-}
-
-/// Embeds a result's canonical JSON as a document node. Parsing our own
-/// canonical output is infallible; the error arm exists only to keep
-/// this panic-free on a future format skew.
-fn embed_result(result: &JobResult) -> Value {
-    Value::parse(&result.to_json()).unwrap_or(Value::Null)
 }
 
 /// Extracts the embedded result from a poll envelope — the inverse of
@@ -106,7 +117,7 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let envelope = job_envelope(
+        let envelope = job_envelope::<Result<JobResult, FqError>>(
             JobId::new(1),
             &JobState::Done(std::sync::Arc::new(Ok(result.clone()))),
         );
@@ -123,7 +134,7 @@ mod tests {
 
     #[test]
     fn envelopes_carry_errors_and_progress_states() {
-        let failed = job_envelope(
+        let failed = job_envelope::<Result<JobResult, FqError>>(
             JobId::new(2),
             &JobState::Done(std::sync::Arc::new(Err(FqError::InvalidConfig(
                 "boom".into(),
@@ -142,7 +153,7 @@ mod tests {
         );
         assert!(result_from_envelope(&failed).is_err());
 
-        let queued = job_envelope(JobId::new(3), &JobState::Queued);
+        let queued = job_envelope::<Result<JobResult, FqError>>(JobId::new(3), &JobState::Queued);
         assert!(Value::parse(&queued).unwrap().field("result").is_err());
     }
 }
