@@ -2,13 +2,13 @@
 //! every parameter optimization, timed through the hoisted fast path —
 //! the perf-regression harness behind `BENCH_landscape.json`.
 //!
-//! `optimize_parameters` evaluates a `resolution²` grid of the p = 1
-//! analytic expectation per sub-problem. PR 3 added two layered
+//! `optimize_parameters_prepared` evaluates a `resolution²` grid of the
+//! p = 1 analytic expectation per sub-problem, with two layered
 //! optimizations: `PreparedP1` gathers the model's coupling structure
-//! once, and `grid_scan_2d_hoisted` hoists all γ-only trigonometry out
-//! of each β row. PR 6 restructured `PreparedP1` as structure-of-arrays
-//! with interned trig tables and added fixed-width lane kernels
-//! (`P1Row::eval_lanes`), so this bench now reports a **lanes**
+//! once, and the row scan (`grid_scan_2d_rows`) hoists all γ-only
+//! trigonometry out of each β row. `PreparedP1` is structure-of-arrays
+//! with interned trig tables and fixed-width lane kernels
+//! (`P1Row::eval_lanes`), so this bench also reports a **lanes**
 //! dimension: the scalar per-point row evaluator against the 4-wide and
 //! 8-wide kernels, all single-threaded so the lane win is measured in
 //! isolation from row parallelism. Every variant is asserted
@@ -29,7 +29,7 @@ use std::time::Instant;
 use fq_bench::harness::fmt_time;
 use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
-use fq_optim::{grid_axis, grid_scan_2d, grid_scan_2d_hoisted, grid_scan_2d_rows, GridScan};
+use fq_optim::{grid_axis, grid_scan_2d, grid_scan_2d_rows, GridScan};
 use fq_sim::analytic::{expectation_p1, BetaTrig, PreparedP1};
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -57,9 +57,14 @@ fn hoisted_scan(model: &IsingModel, resolution: usize) -> GridScan {
 
 /// Scan-only scalar path over an existing preparation.
 fn scalar_scan(prepared: &PreparedP1<'_>, resolution: usize) -> GridScan {
-    grid_scan_2d_hoisted(
+    grid_scan_2d_rows(
+        1,
         |g| prepared.row(g),
-        |row, b| row.at(b),
+        |row, betas, out| {
+            for (o, &b) in out.iter_mut().zip(betas) {
+                *o = row.at(b);
+            }
+        },
         GAMMA,
         BETA,
         resolution,
@@ -78,6 +83,7 @@ fn scalar_scan(prepared: &PreparedP1<'_>, resolution: usize) -> GridScan {
 fn lane_scan<const W: usize>(prepared: &PreparedP1<'_>, resolution: usize) -> GridScan {
     let trig = BetaTrig::new(&grid_axis(BETA.0, BETA.1, resolution));
     grid_scan_2d_rows(
+        1,
         |g| prepared.row(g),
         |row, _betas, out| row.eval_lanes::<W>(&trig, out),
         GAMMA,

@@ -438,6 +438,73 @@ impl JobSpec {
         h.write(self.config.tier.name().as_bytes());
         Ok(format!("{:016x}", h.finish()))
     }
+
+    /// The refusal rules every spec must pass before it runs, shared by
+    /// [`JobBuilder::build`] and [`JobSpec::from_json`] so the wire
+    /// refuses exactly what the builder refuses, with the same error.
+    /// None of them materializes the problem.
+    pub(crate) fn check(&self) -> Result<(), FqError> {
+        let config = &self.config;
+        if config.layers == 0 {
+            return Err(FqError::InvalidConfig(
+                "layers (p) must be at least 1".into(),
+            ));
+        }
+        if config.param_grid == 0 {
+            return Err(FqError::InvalidConfig(
+                "param_grid must be at least 1".into(),
+            ));
+        }
+        if let JobKind::Sample { shots } = self.kind {
+            if shots == 0 {
+                return Err(FqError::InvalidConfig(
+                    "sampling jobs need at least 1 shot".into(),
+                ));
+            }
+            if self.backend == BackendSpec::NoiseModel {
+                return Err(FqError::InvalidConfig(
+                    "the noise_model backend models expectations, not shot distributions; \
+                     use the sim backend for sampling jobs"
+                        .into(),
+                ));
+            }
+            if !config.tier.is_exact() {
+                return Err(FqError::InvalidConfig(
+                    "sampling jobs are stochastic end to end and have no approximate \
+                     variant; QoS tiers apply to analytic jobs only"
+                        .into(),
+                ));
+            }
+        }
+        let num_vars = self.problem.num_vars();
+        if num_vars == 0 {
+            return Err(FqError::InvalidConfig("problem has no variables".into()));
+        }
+        let freezes = !matches!(self.kind, JobKind::Baseline);
+        if freezes && config.num_frozen > num_vars {
+            return Err(FqError::TooManyFrozen {
+                m: config.num_frozen,
+                num_vars,
+            });
+        }
+        if config.layers >= 2 {
+            // Multi-layer optimization simulates the exact state; check
+            // the widest circuit the job will execute against the same
+            // limit the optimizer enforces at run time.
+            let limit = crate::pipeline::MAX_EXACT_OPT_QUBITS;
+            let executed_width = match self.kind {
+                JobKind::Frozen | JobKind::Sample { .. } => num_vars - config.num_frozen,
+                JobKind::Baseline | JobKind::Compare => num_vars,
+            };
+            if executed_width > limit {
+                return Err(FqError::InvalidConfig(format!(
+                    "p = {} needs exact simulation; {executed_width} executed qubits exceed the {limit}-qubit limit",
+                    config.layers
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Builds a validated [`JobSpec`].
@@ -446,7 +513,8 @@ impl JobSpec {
 /// [`FrozenQubitsConfig::default`] and the backend to [`BackendSpec::Sim`].
 /// [`JobBuilder::build`] rejects inconsistent requests — too many frozen
 /// qubits, zero layers or shots, multi-layer jobs beyond the statevector
-/// width limit — so errors surface before any circuit work starts.
+/// width limit — so errors surface before any circuit work starts. The
+/// wire parse ([`JobSpec::from_json`]) applies the same rules.
 #[derive(Clone, Debug, Default)]
 pub struct JobBuilder {
     problem: Option<ProblemSpec>,
@@ -602,87 +670,30 @@ impl JobBuilder {
         let kind = self.kind.ok_or_else(|| {
             FqError::InvalidConfig("job has no kind (baseline/frozen/compare/sample)".into())
         })?;
-        let config = self.config;
-        if config.layers == 0 {
-            return Err(FqError::InvalidConfig(
-                "layers (p) must be at least 1".into(),
-            ));
-        }
-        if config.param_grid == 0 {
-            return Err(FqError::InvalidConfig(
-                "param_grid must be at least 1".into(),
-            ));
-        }
-        if let JobKind::Sample { shots } = kind {
-            if shots == 0 {
-                return Err(FqError::InvalidConfig(
-                    "sampling jobs need at least 1 shot".into(),
-                ));
-            }
-            if self.backend == BackendSpec::NoiseModel {
-                return Err(FqError::InvalidConfig(
-                    "the noise_model backend models expectations, not shot distributions; \
-                     use the sim backend for sampling jobs"
-                        .into(),
-                ));
-            }
-            if !config.tier.is_exact() {
-                return Err(FqError::InvalidConfig(
-                    "sampling jobs are stochastic end to end and have no approximate \
-                     variant; QoS tiers apply to analytic jobs only"
-                        .into(),
-                ));
-            }
-        }
-        // Width checks read the spec directly; graph/generator problems
-        // are additionally materialized once here so malformed edges or
-        // infeasible generator parameters fail at build time (an
-        // explicit Ising model is already valid and is not cloned).
-        if !matches!(problem, ProblemSpec::Ising(_)) {
-            problem.resolve()?;
-        }
-        let num_vars = problem.num_vars();
-        if num_vars == 0 {
-            return Err(FqError::InvalidConfig("problem has no variables".into()));
-        }
-        let freezes = !matches!(kind, JobKind::Baseline);
-        if freezes && config.num_frozen > num_vars {
-            return Err(FqError::TooManyFrozen {
-                m: config.num_frozen,
-                num_vars,
-            });
-        }
-        if config.layers >= 2 {
-            // Multi-layer optimization simulates the exact state; check
-            // the widest circuit the job will execute against the same
-            // limit the optimizer enforces at run time.
-            let limit = crate::pipeline::MAX_EXACT_OPT_QUBITS;
-            let executed_width = match kind {
-                JobKind::Frozen | JobKind::Sample { .. } => num_vars - config.num_frozen,
-                JobKind::Baseline | JobKind::Compare => num_vars,
-            };
-            if executed_width > limit {
-                return Err(FqError::InvalidConfig(format!(
-                    "p = {} needs exact simulation; {executed_width} executed qubits exceed the {limit}-qubit limit",
-                    config.layers
-                )));
-            }
-        }
-        Ok(JobSpec {
+        let spec = JobSpec {
             problem,
             device,
-            config,
+            config: self.config,
             backend: self.backend,
             kind,
-        })
+        };
+        spec.check()?;
+        // Graph and generator problems are additionally materialized once
+        // here so malformed edges or infeasible generator parameters fail
+        // at build time (an explicit Ising model is already valid and is
+        // not cloned).
+        if !matches!(spec.problem, ProblemSpec::Ising(_)) {
+            spec.problem.resolve()?;
+        }
+        Ok(spec)
     }
 }
 
 /// A resolved, runnable job: materialized problem and device.
 ///
 /// This is the runtime form of a [`JobSpec`]; it also accepts arbitrary
-/// (non-preset) [`Device`] models via [`Job::from_parts`], which is what
-/// the deprecated free-function wrappers use.
+/// (non-preset) [`Device`] models via [`Job::from_parts`], the in-process
+/// entry point of tests, examples and the figure binaries.
 #[derive(Clone, Debug)]
 pub struct Job {
     model: IsingModel,
@@ -694,6 +705,11 @@ pub struct Job {
 
 impl Job {
     /// A job from already-resolved parts, on the default [`SimBackend`].
+    ///
+    /// Unchecked: unlike [`JobBuilder::build`] and
+    /// [`JobSpec::from_json`], this in-process constructor applies none
+    /// of the spec refusal rules, so an inconsistent configuration fails
+    /// (or runs) however the pipeline handles it at run time.
     #[must_use]
     pub fn from_parts(
         model: &IsingModel,
@@ -1443,21 +1459,6 @@ mod tests {
         let summary = result.into_baseline().unwrap();
         assert_eq!(summary.label, "baseline");
         assert_eq!(summary.circuit_qubits, 8);
-    }
-
-    #[test]
-    fn compare_job_matches_the_free_functions() {
-        let model = ba_model(12, 3);
-        let device = Device::ibm_montreal();
-        let config = FrozenQubitsConfig::default();
-        let via_job = Job::from_parts(&model, &device, &config, JobKind::Compare)
-            .run()
-            .unwrap()
-            .into_compare()
-            .unwrap();
-        #[allow(deprecated)]
-        let via_free = crate::compare(&model, &device, &config).unwrap();
-        assert_eq!(via_job, via_free);
     }
 
     #[test]

@@ -78,19 +78,24 @@ impl JobSpec {
         Value::object(pairs).to_json()
     }
 
-    /// Parses the canonical JSON wire form.
+    /// Parses the canonical JSON wire form, then applies the refusal
+    /// rules [`JobBuilder::build`](crate::api::JobBuilder::build) applies
+    /// — all but materializing graph and generator problems, which waits
+    /// for the run.
     ///
     /// # Errors
     ///
     /// Returns [`FqError::Serde`] for malformed documents or unknown
-    /// names/versions, and [`FqError::UnknownTier`] for an unrecognized
-    /// tier name (so the service edge can answer with a structured 422
-    /// instead of a generic parse failure).
+    /// names/versions, [`FqError::UnknownTier`] for an unrecognized tier
+    /// name (so the service edge can answer with a structured 422
+    /// instead of a generic parse failure), and the builder's
+    /// [`FqError::InvalidConfig`] / [`FqError::TooManyFrozen`] for a
+    /// well-formed spec it would refuse.
     pub fn from_json(text: &str) -> Result<JobSpec, FqError> {
         let v = Value::parse(text)?;
         let tier = spec_tier_from_value(&v)?;
         let device_name = v.field("device")?.as_str()?;
-        Ok(JobSpec {
+        let spec = JobSpec {
             problem: problem_from_value(v.field("problem")?)?,
             device: DeviceSpec::from_name(device_name)
                 .ok_or_else(|| bad(format!("unknown device `{device_name}`")))?,
@@ -104,7 +109,9 @@ impl JobSpec {
                     .ok_or_else(|| bad(format!("unknown backend `{name}`")))?
             },
             kind: kind_from_value(v.field("kind")?)?,
-        })
+        };
+        spec.check()?;
+        Ok(spec)
     }
 }
 

@@ -25,12 +25,10 @@ use fq_sim::{
 use fq_transpile::Device;
 
 use crate::api::ErrorModel;
-use crate::pipeline::{polish_parameters_tiered, CircuitMetrics};
+use crate::pipeline::{optimize_layers, polish_parameters_tiered, CircuitMetrics};
 use crate::plan::ExecutionPlan;
 use crate::store::KeyedDevice;
-use crate::{
-    optimize_parameters_multilayer, optimize_parameters_prepared, FqError, FrozenQubitsConfig,
-};
+use crate::{optimize_parameters_prepared, FqError, FrozenQubitsConfig};
 
 /// Everything measured about one executed branch of a plan.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,7 +142,8 @@ pub trait Executor {
     ) -> Result<Vec<BranchSamples>, FqError>;
 }
 
-/// Which [`Executor`] backend the pipeline wrappers should build.
+/// Which [`Executor`] backend a job's branches run on
+/// ([`FrozenQubitsConfig::executor`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ExecutorKind {
     /// Run branches in order on the caller's thread.
@@ -440,7 +439,7 @@ pub(crate) fn execute_branch(
             let (g, b) = optimize_parameters_prepared(prep, config.param_grid)?;
             (vec![g], vec![b])
         }
-        (None, None) => optimize_parameters_multilayer(model, p, config.param_grid)?,
+        (None, None) => optimize_layers(model, p, config.param_grid, None, config.seed)?,
     };
     // Every tier reads the template's memoized branch-invariant tables
     // (attenuation, cone fidelities, EPS, metrics) instead of re-deriving
@@ -505,7 +504,8 @@ pub(crate) fn sample_branch(
 ) -> Result<BranchSamples, FqError> {
     let exec = plan.branch(branch);
     let model = exec.problem.model();
-    let (gammas, betas) = optimize_parameters_multilayer(model, plan.layers(), config.param_grid)?;
+    let (gammas, betas) =
+        optimize_layers(model, plan.layers(), config.param_grid, None, config.seed)?;
     let edited = plan.template_for(branch).edit_for(model)?;
     let bound = edited.circuit.bind(&gammas, &betas)?;
     let compiled = edited.instantiate(bound);

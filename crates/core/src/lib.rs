@@ -23,8 +23,9 @@
 //! it. The public front door over that core is the **job
 //! API** in [`api`]:
 //!
-//! * [`api::JobBuilder`] → [`api::JobSpec`] → [`api::JobResult`] — typed,
-//!   build-time-validated job descriptions with a pinned JSON wire form;
+//! * [`api::JobBuilder`] → [`api::JobSpec`] → [`api::JobResult`] — typed
+//!   job descriptions, validated when built and when parsed, with a
+//!   pinned JSON wire form;
 //! * [`api::Backend`] ([`api::SimBackend`], [`api::NoiseModelBackend`]) —
 //!   the execution substrate, chosen per job instead of assumed;
 //! * [`api::BatchRunner`] — many jobs, one [`TemplateCache`]: compile
@@ -34,7 +35,7 @@
 //!   (§3.3, §3.7.2);
 //! * [`CompiledTemplate`] — compile-once/edit-many executables (§3.7.1);
 //! * [`plan_execution`] / [`ExecutionPlan`] — phase 1: partition + shared
-//!   templates; [`plan_with_budget`] picks `m` adaptively (§3.4);
+//!   templates;
 //! * [`Executor`] / [`SequentialExecutor`] / [`ParallelExecutor`] — phase
 //!   2: branch fan-out, bit-identical across backends;
 //! * [`metrics`] — ARG (Eq. 4), AR (Eq. 5), improvement factors, GMEAN;
@@ -42,8 +43,6 @@
 //!
 //! Every error anywhere in the workspace converts into the single
 //! [`FqError`] enum, so application code threads one `?`-able type.
-//! The pre-API free functions (`run_baseline`, `run_frozen`, `compare`,
-//! `solve_with_sampling`) remain as deprecated one-line wrappers.
 //! The sibling `fq-serve` crate serves this exact API over HTTP/1.1 —
 //! request and response bodies are the pinned [`api::JobSpec`] /
 //! [`api::JobResult`] wire documents, byte for byte.
@@ -71,7 +70,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod adaptive;
 pub mod api;
 mod config;
 mod error;
@@ -86,33 +84,22 @@ mod solve;
 mod store;
 mod template;
 
-pub use adaptive::{plan_with_budget, suggest_num_frozen, FreezeBudget, FreezeRecommendation};
 pub use api::{
     Backend, BackendSpec, BatchRunner, DeviceSpec, ErrorModel, GraphWeighting, Job, JobBuilder,
     JobId, JobKind, JobResult, JobSpec, NoiseModelBackend, ProblemSpec, SimBackend,
 };
 pub use config::{FrozenQubitsConfig, QosTier};
 pub use error::FqError;
-#[allow(deprecated)]
-pub use error::FrozenQubitsError;
 pub use executor::{
     auto_threads, BranchOutcome, BranchSamples, Executor, ExecutorKind, NoiseEval,
     ParallelExecutor, SequentialExecutor,
 };
 pub use hotspot::{edges_eliminated, select_hotspots, HotspotStrategy};
 pub use partition::{partition_problem, Partition, SubproblemExec};
-#[allow(deprecated)]
-pub use pipeline::{compare, run_baseline, run_frozen};
-pub use pipeline::{
-    execute_problem, optimize_parameters, optimize_parameters_multilayer,
-    optimize_parameters_prepared, CircuitMetrics, ProblemExecution, Report, RunSummary,
-};
+pub use pipeline::{optimize_parameters_prepared, CircuitMetrics, Report, RunSummary};
 pub use plan::{
-    plan_execution, plan_execution_cached, plan_from_partition, plan_from_partition_cached,
-    CacheStats, ExecutionPlan, ShapeSignature, TemplateCache,
+    plan_execution, plan_execution_cached, CacheStats, ExecutionPlan, ShapeSignature, TemplateCache,
 };
-#[allow(deprecated)]
-pub use solve::solve_with_sampling;
 pub use solve::SolveOutcome;
 pub use store::{
     is_template_fingerprint, DiskStore, MemoryStore, StoreStats, TemplateArtifact,

@@ -6,34 +6,33 @@
 //! [`JobBuilder`](crate::api::JobBuilder) → [`JobSpec`](crate::api::JobSpec)
 //! → [`JobResult`](crate::api::JobResult), executed over the two-phase
 //! plan/execute core (one shared template per distinct sub-circuit shape,
-//! branches fanned out by the configured executor). The free functions
-//! [`run_baseline`], [`run_frozen`] and [`compare`] remain as deprecated
-//! one-line wrappers over that API.
+//! branches fanned out by the configured executor). This module holds
+//! what every branch shares: the parameter optimizers, and the result
+//! types with the weighted aggregation that turns branch outcomes into
+//! them.
 
-use fq_circuit::{build_qaoa_circuit, qaoa_cnot_count};
+use fq_circuit::qaoa_cnot_count;
 use fq_ising::IsingModel;
 use fq_optim::{
-    grid_axis, grid_scan_2d_coarse_to_fine_with, grid_scan_2d_rows, grid_scan_2d_rows_par,
-    nelder_mead, CoarseToFineScan, NelderMeadOptions,
+    grid_axis, grid_scan_2d_coarse_to_fine, grid_scan_2d_rows, nelder_mead, CoarseToFineScan,
+    NelderMeadOptions,
 };
-use fq_sim::analytic::{expectation_from_terms_p1, BetaTrig, P1Row, PreparedP1};
-use fq_sim::{
-    ising_expectation_from_terms, log_eps, noisy_expectation_lightcone, subsample_couplings,
-};
-use fq_transpile::{compile, Compiled, Device};
+use fq_sim::analytic::{BetaTrig, P1Row, PreparedP1};
+use fq_sim::subsample_couplings;
+use fq_transpile::Compiled;
 use serde::{Deserialize, Serialize};
 
 use crate::api::ErrorModel;
 use crate::executor::BranchOutcome;
 use crate::plan::ExecutionPlan;
-use crate::{metrics::arg, FqError, FrozenQubitsConfig, QosTier};
+use crate::{metrics::arg, FqError, QosTier};
 
 /// The widest model multi-layer (`p ≥ 2`) parameter optimization will
-/// exactly simulate. Shared by the run-time check in
-/// [`optimize_parameters_multilayer`] and the build-time check in
-/// [`JobBuilder::build`](crate::api::JobBuilder::build) so the two can
-/// never drift apart. (Kept below `fq_sim::MAX_STATEVECTOR_QUBITS` for
-/// optimizer wall-clock, not statevector memory.)
+/// exactly simulate. Shared by the run-time check in [`optimize_layers`]
+/// and the build- and parse-time check of every
+/// [`JobSpec`](crate::api::JobSpec) so the two can never drift apart.
+/// (Kept below `fq_sim::MAX_STATEVECTOR_QUBITS` for optimizer
+/// wall-clock, not statevector memory.)
 pub(crate) const MAX_EXACT_OPT_QUBITS: usize = 20;
 
 /// Circuit-level cost metrics of one executed (compiled) circuit.
@@ -76,7 +75,24 @@ pub struct RunSummary {
     pub params: (f64, f64),
 }
 
-/// A baseline-vs-FrozenQubits comparison on one problem instance.
+/// A baseline-vs-FrozenQubits comparison on one problem instance: the
+/// result of a [`JobKind::Compare`](crate::api::JobKind::Compare) job.
+///
+/// # Example
+///
+/// ```
+/// use frozenqubits::api::{DeviceSpec, JobBuilder};
+///
+/// let spec = JobBuilder::new()
+///     .barabasi_albert(10, 1, 3)
+///     .device(DeviceSpec::IbmMontreal)
+///     .compare()
+///     .build()?;
+/// let report = spec.run()?.into_compare()?;
+/// // Freezing the hotspot must strictly reduce the executed CNOT count.
+/// assert!(report.frozen.metrics.compiled_cnots < report.baseline.metrics.compiled_cnots);
+/// # Ok::<(), frozenqubits::FqError>(())
+/// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// The standard-QAOA baseline.
@@ -89,43 +105,6 @@ pub struct Report {
     pub improvement: f64,
 }
 
-/// Everything known about one executed sub-problem.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ProblemExecution {
-    /// The (sub-)model that was executed.
-    pub model: IsingModel,
-    /// Optimized first-layer `(γ_1, β_1)` (see
-    /// [`ProblemExecution::gammas`] for all layers).
-    pub params: (f64, f64),
-    /// All optimized γ parameters (one per layer).
-    pub gammas: Vec<f64>,
-    /// All optimized β parameters (one per layer).
-    pub betas: Vec<f64>,
-    /// Ideal expectation at the optimized parameters.
-    pub ev_ideal: f64,
-    /// Modelled noisy expectation at the same parameters.
-    pub ev_noisy: f64,
-    /// Log-EPS of the compiled circuit.
-    pub log_eps: f64,
-    /// The compiled artifact.
-    pub compiled: Compiled,
-}
-
-/// Optimizes `(γ, β)` for one model by a coarse grid scan refined with
-/// Nelder–Mead, minimizing the **ideal** p = 1 expectation — matching the
-/// paper's methodology of determining optimal parameters from simulation
-/// (§4.2).
-///
-/// # Errors
-///
-/// Propagates analytic-expectation errors (none for well-formed models).
-pub fn optimize_parameters(
-    model: &IsingModel,
-    grid_resolution: usize,
-) -> Result<(f64, f64), FqError> {
-    optimize_parameters_prepared(&PreparedP1::new(model), grid_resolution)
-}
-
 /// Estimated scan flops above which [`optimize_parameters_prepared`] fans
 /// γ rows across threads. Below it (small sub-models, coarse grids) the
 /// sequential path wins — and batch-engine workers, which already
@@ -133,10 +112,13 @@ pub fn optimize_parameters(
 /// instead of oversubscribing the machine.
 const PAR_SCAN_MIN_FLOPS: usize = 2_000_000;
 
-/// [`optimize_parameters`] over an existing [`PreparedP1`] — callers that
-/// also need per-term expectations at the optimum (the p = 1 executor
-/// paths) gather the model structure **once** and reuse it across the
-/// grid scan, the Nelder–Mead refinement, and the final
+/// Optimizes `(γ, β)` for one p = 1 model by a grid scan refined with
+/// Nelder–Mead, minimizing the **ideal** expectation — matching the
+/// paper's methodology of determining optimal parameters from simulation
+/// (§4.2). It takes an existing [`PreparedP1`], so callers that also
+/// need per-term expectations at the optimum (the p = 1 executor paths)
+/// gather the model structure **once** and reuse it across the grid
+/// scan, the Nelder–Mead refinement, and the final
 /// [`PreparedP1::terms_at`] evaluation.
 ///
 /// The scan runs through the 8-wide lane kernel
@@ -170,7 +152,7 @@ pub fn optimize_parameters_prepared(
     } else {
         1
     };
-    let scan = grid_scan_2d_rows_par(
+    let scan = grid_scan_2d_rows(
         threads,
         |g| prepared.row(g),
         |row, _betas, out| row.eval_lanes::<8>(&trig, out),
@@ -201,16 +183,17 @@ const FAST_MIN_COUPLINGS: usize = 64;
 /// sequentially — the tier scans are small, and single-threading makes
 /// the approximate tiers trivially byte-identical across thread counts.
 fn coarse_to_fine_rows<'p>(
-    row_for: impl Fn(f64) -> P1Row<'p>,
+    row_for: impl Fn(f64) -> P1Row<'p> + Sync,
     coarse_resolution: usize,
     refine_resolution: usize,
 ) -> CoarseToFineScan {
     let half_pi = std::f64::consts::FRAC_PI_2;
     let quarter_pi = std::f64::consts::FRAC_PI_4;
-    grid_scan_2d_coarse_to_fine_with(
+    grid_scan_2d_coarse_to_fine(
         |gamma_range, beta_range, resolution| {
             let trig = BetaTrig::new(&grid_axis(beta_range.0, beta_range.1, resolution));
             grid_scan_2d_rows(
+                1,
                 &row_for,
                 |row, _betas, out| row.eval_lanes::<8>(&trig, out),
                 gamma_range,
@@ -268,19 +251,7 @@ pub(crate) fn optimize_parameters_tiered(
                 em.refine_resolution,
             );
             let (g0, b0) = scan.best_params;
-            if em.optimizer_evals == 0 {
-                return Ok((g0, b0));
-            }
-            let polished = nelder_mead(
-                |p: &[f64]| prepared.at(p[0], p[1]),
-                &[g0, b0],
-                &NelderMeadOptions {
-                    max_evaluations: em.optimizer_evals,
-                    value_tolerance: 1e-8,
-                    initial_step: 0.05,
-                },
-            );
-            Ok((polished.best_params[0], polished.best_params[1]))
+            Ok(polish_parameters_tiered(prepared, em, g0, b0))
         }
         QosTier::Fast => {
             let sub = subsample_couplings(model, em.term_sample_keep, FAST_MIN_COUPLINGS, seed);
@@ -336,78 +307,49 @@ pub(crate) fn polish_parameters_tiered(
 }
 
 /// Optimizes the full `(γ_1..γ_p, β_1..β_p)` vector for a `p`-layer QAOA
-/// circuit. `p = 1` uses the closed-form expectation (any width); `p ≥ 2`
-/// optimizes the exact statevector expectation (width ≤ 20) seeded from
-/// the `p = 1` optimum with a linear ramp — the standard multi-layer
-/// warm start.
-///
-/// # Errors
-///
-/// Returns [`FqError::InvalidConfig`] for `p = 0` or for `p ≥ 2`
-/// on models wider than 20 variables.
-pub fn optimize_parameters_multilayer(
-    model: &IsingModel,
-    p: usize,
-    grid_resolution: usize,
-) -> Result<(Vec<f64>, Vec<f64>), FqError> {
-    if p == 0 {
-        return Err(FqError::InvalidConfig("p must be at least 1".into()));
-    }
-    let (g1, b1) = optimize_parameters(model, grid_resolution)?;
-    if p == 1 {
-        return Ok((vec![g1], vec![b1]));
-    }
-    multilayer_from_warm_start(model, p, g1, b1, 800)
-}
-
-/// The approximate-tier counterpart of
-/// [`optimize_parameters_multilayer`]: the first-layer warm start comes
-/// from [`optimize_parameters_tiered`], and the statevector Nelder–Mead
-/// runs on a reduced evaluation budget (its cost dominates `p ≥ 2`
-/// branches, so the budget **is** the tier's speed knob there).
+/// circuit. The first layer is the `p = 1` optimum in closed form (any
+/// width): [`optimize_parameters_prepared`] for the exact path
+/// (`em = None`), [`optimize_parameters_tiered`] for an approximate
+/// tier. `p ≥ 2` then optimizes the exact statevector expectation (width
+/// ≤ [`MAX_EXACT_OPT_QUBITS`]) seeded from that optimum with a linear
+/// ramp — the standard multi-layer warm start. The statevector
+/// Nelder–Mead runs on 800 evaluations for the exact path and on the
+/// tier's smaller budget otherwise (its cost dominates `p ≥ 2` branches,
+/// so the budget **is** the tier's speed knob there).
 ///
 /// # Errors
 ///
 /// Returns [`FqError::InvalidConfig`] for `p = 0` or for `p ≥ 2` on
 /// models wider than the exact-simulation limit.
-pub(crate) fn optimize_parameters_multilayer_tiered(
+pub(crate) fn optimize_layers(
     model: &IsingModel,
     p: usize,
     grid_resolution: usize,
-    em: &ErrorModel,
+    em: Option<&ErrorModel>,
     seed: u64,
 ) -> Result<(Vec<f64>, Vec<f64>), FqError> {
     if p == 0 {
         return Err(FqError::InvalidConfig("p must be at least 1".into()));
     }
     let prepared = PreparedP1::new(model);
-    let (g1, b1) = optimize_parameters_tiered(&prepared, em, grid_resolution, seed)?;
+    let (g1, b1) = match em {
+        None => optimize_parameters_prepared(&prepared, grid_resolution)?,
+        Some(em) => optimize_parameters_tiered(&prepared, em, grid_resolution, seed)?,
+    };
     if p == 1 {
         return Ok((vec![g1], vec![b1]));
     }
-    let budget = match em.tier {
-        QosTier::Balanced => 200,
-        QosTier::Fast => 100,
-        QosTier::Exact => 800,
-    };
-    multilayer_from_warm_start(model, p, g1, b1, budget)
-}
-
-/// The shared `p ≥ 2` tail: INTERP-style warm start from the first-layer
-/// optimum, then statevector Nelder–Mead capped at `max_evaluations`.
-fn multilayer_from_warm_start(
-    model: &IsingModel,
-    p: usize,
-    g1: f64,
-    b1: f64,
-    max_evaluations: usize,
-) -> Result<(Vec<f64>, Vec<f64>), FqError> {
     if model.num_vars() > MAX_EXACT_OPT_QUBITS {
         return Err(FqError::InvalidConfig(format!(
             "multi-layer optimization simulates the exact state; {} variables exceed the {MAX_EXACT_OPT_QUBITS}-qubit limit",
             model.num_vars()
         )));
     }
+    let max_evaluations = match em.map(|em| em.tier) {
+        Some(QosTier::Balanced) => 200,
+        Some(QosTier::Fast) => 100,
+        Some(QosTier::Exact) | None => 800,
+    };
     // Warm start: ramp γ up and β down across layers (INTERP-style).
     let mut x0 = Vec::with_capacity(2 * p);
     for l in 0..p {
@@ -432,59 +374,6 @@ fn multilayer_from_warm_start(
     );
     let (g, b) = result.best_params.split_at(p);
     Ok((g.to_vec(), b.to_vec()))
-}
-
-/// Runs one model through the full single-circuit pipeline: parameter
-/// optimization, compilation, fidelity modelling and EPS. Supports any
-/// `config.layers` (`p ≥ 2` needs ≤ 20 variables; see
-/// [`optimize_parameters_multilayer`]).
-///
-/// # Errors
-///
-/// Propagates circuit, transpile and simulation errors.
-pub fn execute_problem(
-    model: &IsingModel,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-) -> Result<ProblemExecution, FqError> {
-    let p = config.layers;
-    // For p = 1 the model structure is gathered once and reused across the
-    // optimizer (scan + refinement) and the final term evaluation.
-    let prepared = (p == 1).then(|| PreparedP1::new(model));
-    let (gammas, betas) = match &prepared {
-        Some(prep) => {
-            let (g, b) = optimize_parameters_prepared(prep, config.param_grid)?;
-            (vec![g], vec![b])
-        }
-        None => optimize_parameters_multilayer(model, p, config.param_grid)?,
-    };
-    let qc = build_qaoa_circuit(model, p)?;
-    let compiled = compile(&qc, device, config.compile)?;
-    // One pass over the terms; the scalar expectation is assembled from
-    // them bit-identically instead of a second full evaluation.
-    let (ev_ideal, z, zz) = if let Some(prep) = &prepared {
-        let (z, zz) = prep.terms_at(gammas[0], betas[0]);
-        let ev = expectation_from_terms_p1(model, &z, &zz)?;
-        (ev, z, zz)
-    } else {
-        let bound = qc.bind(&gammas, &betas)?;
-        let sv = fq_sim::run_circuit(&bound)?;
-        let (z, zz) = sv.term_expectations(model)?;
-        let ev = ising_expectation_from_terms(model, &z, &zz)?;
-        (ev, z, zz)
-    };
-    let ev_noisy = noisy_expectation_lightcone(model, &z, &zz, &compiled, device)?;
-    let eps_log = log_eps(&compiled, device);
-    Ok(ProblemExecution {
-        model: model.clone(),
-        params: (gammas[0], betas[0]),
-        gammas,
-        betas,
-        ev_ideal,
-        ev_noisy,
-        log_eps: eps_log,
-        compiled,
-    })
 }
 
 pub(crate) fn metrics_of(model: &IsingModel, layers: usize, compiled: &Compiled) -> CircuitMetrics {
@@ -563,103 +452,30 @@ pub(crate) fn summarize_outcomes(
     }
 }
 
-/// Runs the standard-QAOA baseline on the full problem — a single-branch
-/// plan (`m = 0`) through the plan/execute core.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `api::JobBuilder` with `.baseline()` (this is a thin wrapper over it)"
-)]
-pub fn run_baseline(
-    model: &IsingModel,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-) -> Result<RunSummary, FqError> {
-    crate::api::Job::from_parts(model, device, config, crate::api::JobKind::Baseline)
-        .run()?
-        .into_baseline()
-}
-
-/// Runs FrozenQubits: plan (freeze `config.num_frozen` hotspots, compile
-/// one template per distinct sub-circuit shape), execute every branch via
-/// the configured [`Executor`](crate::Executor), and aggregate.
-///
-/// The aggregate statistics weight each executed branch by the number of
-/// sub-spaces it covers (2 when its symmetric partner was pruned), i.e.
-/// the expectation of the uniform mixture over all `2^m` sub-space
-/// distributions.
-///
-/// # Errors
-///
-/// Propagates hotspot-selection, freezing and pipeline errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `api::JobBuilder` with `.frozen()` (this is a thin wrapper over it)"
-)]
-pub fn run_frozen(
-    model: &IsingModel,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-) -> Result<(RunSummary, Vec<usize>), FqError> {
-    crate::api::Job::from_parts(model, device, config, crate::api::JobKind::Frozen)
-        .run()?
-        .into_frozen()
-}
-
-/// Runs baseline and FrozenQubits side by side and reports the
-/// improvement factor.
-///
-/// # Errors
-///
-/// Propagates pipeline errors.
-///
-/// # Example
-///
-/// ```
-/// use frozenqubits::api::{DeviceSpec, JobBuilder};
-///
-/// let spec = JobBuilder::new()
-///     .barabasi_albert(10, 1, 3)
-///     .device(DeviceSpec::IbmMontreal)
-///     .compare()
-///     .build()?;
-/// let report = spec.run()?.into_compare()?;
-/// // Freezing the hotspot must strictly reduce the executed CNOT count.
-/// assert!(report.frozen.metrics.compiled_cnots < report.baseline.metrics.compiled_cnots);
-/// # Ok::<(), frozenqubits::FqError>(())
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `api::JobBuilder` with `.compare()` (this is a thin wrapper over it)"
-)]
-pub fn compare(
-    model: &IsingModel,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-) -> Result<Report, FqError> {
-    crate::api::Job::from_parts(model, device, config, crate::api::JobKind::Compare)
-        .run()?
-        .into_compare()
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the wrappers stay covered until removal
 mod tests {
     use super::*;
+    use crate::api::{Job, JobKind, JobResult};
+    use crate::executor::{Executor, SequentialExecutor};
+    use crate::{plan_execution, FrozenQubitsConfig};
     use fq_graphs::{gen, to_ising_pm1};
     use fq_sim::analytic::expectation_p1;
+    use fq_transpile::Device;
 
     fn ba_model(n: usize, seed: u64) -> IsingModel {
         to_ising_pm1(&gen::barabasi_albert(n, 1, seed).unwrap(), seed)
     }
 
+    fn run(model: &IsingModel, config: &FrozenQubitsConfig, kind: JobKind) -> JobResult {
+        Job::from_parts(model, &Device::ibm_montreal(), config, kind)
+            .run()
+            .unwrap()
+    }
+
     #[test]
     fn optimized_parameters_beat_zero() {
         let m = ba_model(10, 1);
-        let (g, b) = optimize_parameters(&m, 15).unwrap();
+        let (g, b) = optimize_parameters_prepared(&PreparedP1::new(&m), 15).unwrap();
         let opt = expectation_p1(&m, g, b).unwrap();
         let zero = expectation_p1(&m, 0.0, 0.0).unwrap();
         assert!(opt < zero - 0.1, "optimized {opt} vs uniform {zero}");
@@ -668,7 +484,9 @@ mod tests {
     #[test]
     fn baseline_arg_is_positive_on_noisy_hardware() {
         let m = ba_model(10, 2);
-        let s = run_baseline(&m, &Device::ibm_montreal(), &FrozenQubitsConfig::default()).unwrap();
+        let s = run(&m, &FrozenQubitsConfig::default(), JobKind::Baseline)
+            .into_baseline()
+            .unwrap();
         assert!(s.arg > 0.0 && s.arg.is_finite());
         assert!(s.ev_ideal < 0.0, "optimal EV must be negative");
         assert!(s.ev_noisy > s.ev_ideal, "noise pulls EV toward zero");
@@ -677,7 +495,9 @@ mod tests {
     #[test]
     fn freezing_reduces_cnots_and_arg() {
         let m = ba_model(12, 3);
-        let report = compare(&m, &Device::ibm_montreal(), &FrozenQubitsConfig::default()).unwrap();
+        let report = run(&m, &FrozenQubitsConfig::default(), JobKind::Compare)
+            .into_compare()
+            .unwrap();
         assert!(
             report.frozen.metrics.compiled_cnots < report.baseline.metrics.compiled_cnots,
             "FQ {} vs baseline {}",
@@ -696,8 +516,9 @@ mod tests {
     #[test]
     fn pruning_keeps_quantum_cost_at_one_for_m1() {
         let m = ba_model(10, 4);
-        let (s, hotspots) =
-            run_frozen(&m, &Device::ibm_montreal(), &FrozenQubitsConfig::default()).unwrap();
+        let (s, hotspots) = run(&m, &FrozenQubitsConfig::default(), JobKind::Frozen)
+            .into_frozen()
+            .unwrap();
         assert_eq!(
             s.circuits_executed, 1,
             "m=1 with pruning executes one circuit"
@@ -710,21 +531,29 @@ mod tests {
     fn m2_doubles_quantum_cost() {
         let m = ba_model(10, 5);
         let cfg = FrozenQubitsConfig::with_frozen(2);
-        let (s, _) = run_frozen(&m, &Device::ibm_montreal(), &cfg).unwrap();
+        let (s, _) = run(&m, &cfg, JobKind::Frozen).into_frozen().unwrap();
         assert_eq!(s.circuits_executed, 2);
     }
 
     #[test]
     fn two_layer_qaoa_beats_one_layer_ideally() {
-        // More layers can only improve the variationally optimal EV.
+        // More layers can only improve the variationally optimal EV. The
+        // single-branch (`m = 0`) plan runs the full problem; its branch
+        // outcome carries every layer's angles.
         let m = ba_model(8, 7);
         let device = Device::ibm_montreal();
-        let p1 = execute_problem(&m, &device, &FrozenQubitsConfig::default()).unwrap();
-        let p2_cfg = FrozenQubitsConfig {
-            layers: 2,
-            ..FrozenQubitsConfig::default()
+        let baseline = |layers: usize| -> BranchOutcome {
+            let cfg = FrozenQubitsConfig {
+                layers,
+                ..FrozenQubitsConfig::with_frozen(0)
+            };
+            let plan = plan_execution(&m, &device, &cfg).unwrap();
+            let mut outcomes = SequentialExecutor.execute(&plan, &device, &cfg).unwrap();
+            assert_eq!(outcomes.len(), 1);
+            outcomes.remove(0)
         };
-        let p2 = execute_problem(&m, &device, &p2_cfg).unwrap();
+        let p1 = baseline(1);
+        let p2 = baseline(2);
         assert_eq!(p2.gammas.len(), 2);
         assert!(
             p2.ev_ideal <= p1.ev_ideal + 1e-6,
@@ -733,18 +562,18 @@ mod tests {
             p1.ev_ideal
         );
         // But the deeper circuit is noisier per layer: more CNOTs.
-        assert!(p2.compiled.stats.cnot_count > p1.compiled.stats.cnot_count);
+        assert!(p2.metrics.compiled_cnots > p1.metrics.compiled_cnots);
     }
 
     #[test]
     fn multilayer_rejects_wide_models() {
         let m = ba_model(24, 8);
         assert!(matches!(
-            optimize_parameters_multilayer(&m, 2, 9),
+            optimize_layers(&m, 2, 9, None, 0),
             Err(FqError::InvalidConfig(_))
         ));
         assert!(matches!(
-            optimize_parameters_multilayer(&m, 0, 9),
+            optimize_layers(&m, 0, 9, None, 0),
             Err(FqError::InvalidConfig(_))
         ));
     }
@@ -754,8 +583,9 @@ mod tests {
         // Sanity: each sub-space optimal EV cannot beat the global minimum.
         let m = ba_model(8, 6);
         let exact = fq_ising::solve::exact_solve(&m).unwrap();
-        let (s, _) =
-            run_frozen(&m, &Device::ibm_montreal(), &FrozenQubitsConfig::default()).unwrap();
+        let (s, _) = run(&m, &FrozenQubitsConfig::default(), JobKind::Frozen)
+            .into_frozen()
+            .unwrap();
         assert!(s.ev_ideal >= exact.energy - 1e-9);
     }
 }

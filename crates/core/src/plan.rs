@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use fq_ising::IsingModel;
-use fq_sim::analytic::PreparedP1;
 use fq_transpile::{CompileOptions, Device};
 
 use crate::api::ErrorModel;
-use crate::pipeline::{optimize_parameters_multilayer_tiered, optimize_parameters_tiered};
+use crate::pipeline::optimize_layers;
 use crate::store::{MemoryStore, TemplateArtifact, TemplateIndexEntry, TemplateKey, TemplateStore};
 use crate::{
     partition_problem, select_hotspots, CompiledTemplate, FqError, FrozenQubitsConfig, Partition,
@@ -211,20 +210,13 @@ impl ExecutionPlan {
             memo.clear();
         }
         let model = self.partition.executed[0].problem.model();
-        let params = if self.layers == 1 {
-            let prepared = PreparedP1::new(model);
-            let (g, b) = optimize_parameters_tiered(&prepared, em, config.param_grid, config.seed)?;
-            (vec![g], vec![b])
-        } else {
-            optimize_parameters_multilayer_tiered(
-                model,
-                self.layers,
-                config.param_grid,
-                em,
-                config.seed,
-            )?
-        };
-        let params = Arc::new(params);
+        let params = Arc::new(optimize_layers(
+            model,
+            self.layers,
+            config.param_grid,
+            Some(em),
+            config.seed,
+        )?);
         memo.push((key, Arc::clone(&params)));
         Ok(params)
     }
@@ -263,9 +255,7 @@ pub fn plan_execution(
     device: &Device,
     config: &FrozenQubitsConfig,
 ) -> Result<ExecutionPlan, FqError> {
-    let hotspots = select_hotspots(model, config.num_frozen, &config.hotspots)?;
-    let partition = partition_problem(model, &hotspots, config.prune_symmetric)?;
-    plan_from_partition(model, partition, device, config)
+    plan_execution_cached(model, device, config, &TemplateCache::new())
 }
 
 /// Like [`plan_execution`], but compiled templates are looked up in (and
@@ -286,36 +276,6 @@ pub fn plan_execution_cached(
 ) -> Result<ExecutionPlan, FqError> {
     let hotspots = select_hotspots(model, config.num_frozen, &config.hotspots)?;
     let partition = partition_problem(model, &hotspots, config.prune_symmetric)?;
-    plan_from_partition_cached(model, partition, device, config, cache)
-}
-
-/// Builds an [`ExecutionPlan`] from an already-computed partition of
-/// `model` — useful when the caller customizes partitioning.
-///
-/// # Errors
-///
-/// Propagates circuit-synthesis and transpilation errors.
-pub fn plan_from_partition(
-    model: &IsingModel,
-    partition: Partition,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-) -> Result<ExecutionPlan, FqError> {
-    plan_from_partition_cached(model, partition, device, config, &TemplateCache::new())
-}
-
-/// [`plan_from_partition`] with an external [`TemplateCache`].
-///
-/// # Errors
-///
-/// Propagates circuit-synthesis and transpilation errors.
-pub fn plan_from_partition_cached(
-    model: &IsingModel,
-    partition: Partition,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-    cache: &TemplateCache,
-) -> Result<ExecutionPlan, FqError> {
     // Group branches by structural shape; compile (or fetch) one template
     // per group.
     let mut shapes: Vec<ShapeSignature> = Vec::new();

@@ -3,41 +3,21 @@
 //! pick the best solution (§3.6) — including the bit-flip inference for
 //! pruned partners (§3.7.2).
 //!
-//! Like the analytic pipeline, this is a thin wrapper over the
-//! plan/execute core: one shared compiled template per sub-circuit shape,
-//! branches sampled through the configured [`Executor`](crate::Executor).
+//! A [`JobKind::Sample`](crate::api::JobKind::Sample) job runs this over
+//! the plan/execute core: one shared compiled template per sub-circuit
+//! shape, branches sampled through the configured
+//! [`Executor`](crate::Executor). This module holds its result.
 
-use fq_ising::{IsingModel, OutputDistribution, SpinVec};
-use fq_transpile::Device;
+use fq_ising::{OutputDistribution, SpinVec};
 use serde::{Deserialize, Serialize};
 
-use crate::{FqError, FrozenQubitsConfig};
-
-/// The outcome of a sampling run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SolveOutcome {
-    /// The lowest-energy decoded outcome.
-    pub best: SpinVec,
-    /// Its energy under the parent Hamiltonian.
-    pub energy: f64,
-    /// The union distribution over the parent variables (decoded
-    /// sub-circuit outcomes, including inferred partner outcomes).
-    pub distribution: OutputDistribution,
-    /// Which qubits were frozen.
-    pub frozen_qubits: Vec<usize>,
-}
-
-/// Solves `model` end to end with FrozenQubits on a noisy device:
-/// partition, per-sub-problem parameter optimization, compilation,
-/// Monte-Carlo noisy sampling, decoding, and the final `min`.
+/// The outcome of a sampling run: partition, per-sub-problem parameter
+/// optimization, compilation, Monte-Carlo noisy sampling, decoding, and
+/// the final `min`.
 ///
-/// Use `config.num_frozen = 0` for the plain QAOA baseline.
-///
-/// # Errors
-///
-/// Propagates pipeline errors; the statevector width limit applies, so
-/// this entry point is for small-`N` studies (the analytic pipeline in
-/// [`crate::compare`] covers every scale).
+/// A job with `num_frozen = 0` samples the plain QAOA baseline. The
+/// statevector width limit applies, so sampling is for small-`N` studies
+/// (the analytic job kinds cover every scale).
 ///
 /// # Example
 ///
@@ -53,45 +33,56 @@ pub struct SolveOutcome {
 /// assert_eq!(outcome.best.len(), 8);
 /// # Ok::<(), frozenqubits::FqError>(())
 /// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `api::JobBuilder` with `.sample(shots)` (this is a thin wrapper over it)"
-)]
-pub fn solve_with_sampling(
-    model: &IsingModel,
-    device: &Device,
-    config: &FrozenQubitsConfig,
-    shots: u64,
-) -> Result<SolveOutcome, FqError> {
-    crate::api::Job::from_parts(model, device, config, crate::api::JobKind::Sample { shots })
-        .run()?
-        .into_sample()
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SolveOutcome {
+    /// The lowest-energy decoded outcome.
+    pub best: SpinVec,
+    /// Its energy under the parent Hamiltonian.
+    pub energy: f64,
+    /// The union distribution over the parent variables (decoded
+    /// sub-circuit outcomes, including inferred partner outcomes).
+    pub distribution: OutputDistribution,
+    /// Which qubits were frozen.
+    pub frozen_qubits: Vec<usize>,
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the wrapper stays covered until removal
 mod tests {
     use super::*;
+    use crate::api::{Job, JobKind};
+    use crate::FrozenQubitsConfig;
     use fq_graphs::{gen, to_ising_pm1};
     use fq_ising::solve::exact_solve;
-    use fq_ising::Spin;
+    use fq_ising::{IsingModel, Spin};
     use fq_transpile::Device;
 
     fn model(n: usize, seed: u64) -> IsingModel {
         to_ising_pm1(&gen::barabasi_albert(n, 1, seed).unwrap(), seed)
     }
 
+    fn solve(
+        model: &IsingModel,
+        device: &Device,
+        config: &FrozenQubitsConfig,
+        shots: u64,
+    ) -> SolveOutcome {
+        Job::from_parts(model, device, config, JobKind::Sample { shots })
+            .run()
+            .unwrap()
+            .into_sample()
+            .unwrap()
+    }
+
     #[test]
     fn finds_the_global_optimum_on_small_instances() {
         let m = model(8, 7);
         let exact = exact_solve(&m).unwrap();
-        let out = solve_with_sampling(
+        let out = solve(
             &m,
             &Device::ibm_auckland(),
             &FrozenQubitsConfig::default(),
             4096,
-        )
-        .unwrap();
+        );
         assert!(
             (out.energy - exact.energy).abs() < 1e-9,
             "sampled best {} vs exact {}",
@@ -103,13 +94,12 @@ mod tests {
     #[test]
     fn union_distribution_covers_both_half_spaces() {
         let m = model(6, 9);
-        let out = solve_with_sampling(
+        let out = solve(
             &m,
             &Device::ibm_montreal(),
             &FrozenQubitsConfig::default(),
             1024,
-        )
-        .unwrap();
+        );
         let hotspot = out.frozen_qubits[0];
         let mut saw_up = false;
         let mut saw_down = false;
@@ -131,7 +121,7 @@ mod tests {
     fn m0_behaves_like_plain_qaoa() {
         let m = model(6, 11);
         let cfg = FrozenQubitsConfig::with_frozen(0);
-        let out = solve_with_sampling(&m, &Device::ibm_montreal(), &cfg, 512).unwrap();
+        let out = solve(&m, &Device::ibm_montreal(), &cfg, 512);
         assert!(out.frozen_qubits.is_empty());
         assert_eq!(out.distribution.total_shots(), 512);
         assert_eq!(out.best.len(), 6);
@@ -141,8 +131,8 @@ mod tests {
     fn deterministic_per_seed() {
         let m = model(6, 13);
         let cfg = FrozenQubitsConfig::default();
-        let a = solve_with_sampling(&m, &Device::ibm_montreal(), &cfg, 256).unwrap();
-        let b = solve_with_sampling(&m, &Device::ibm_montreal(), &cfg, 256).unwrap();
+        let a = solve(&m, &Device::ibm_montreal(), &cfg, 256);
+        let b = solve(&m, &Device::ibm_montreal(), &cfg, 256);
         assert_eq!(a.best, b.best);
         assert_eq!(a.distribution, b.distribution);
     }

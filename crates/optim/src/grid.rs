@@ -53,7 +53,10 @@ impl GridScan {
     }
 }
 
-/// Scans `f(γ, β)` over an inclusive `resolution × resolution` grid.
+/// Scans `f(γ, β)` over an inclusive `resolution × resolution` grid,
+/// one call per point — the oracle every faster scan is tested against,
+/// and the scan for objectives with no row structure to exploit (the
+/// noisy landscapes of Fig. 12).
 ///
 /// # Panics
 ///
@@ -74,52 +77,14 @@ pub fn grid_scan_2d(
     beta_range: (f64, f64),
     resolution: usize,
 ) -> GridScan {
-    grid_scan_2d_hoisted(|g| g, |&g, b| f(g, b), gamma_range, beta_range, resolution)
-}
-
-/// [`grid_scan_2d`] with per-row hoisting: `prepare_row` runs **once per
-/// γ row** and its output is handed to `f` for every β point in that row.
-///
-/// The scan visits points in the same row-major order and with the same
-/// strict-improvement tie-breaking as [`grid_scan_2d`], so for any
-/// `(prepare_row, f)` factoring of a plain objective the resulting
-/// [`GridScan`] is identical — only the redundant per-point recomputation
-/// of row-invariant work is gone. The QAOA p = 1 objective is the
-/// motivating case: all of its trigonometric structure depends on γ only,
-/// so a `resolution²` scan collapses to `resolution` expensive row setups
-/// plus cheap per-β assembly (`fq_sim::analytic::PreparedP1::row`).
-///
-/// # Panics
-///
-/// Panics if `resolution < 2` or a range is reversed.
-///
-/// # Example
-///
-/// ```
-/// use fq_optim::grid_scan_2d_hoisted;
-///
-/// // f(γ, β) = exp(γ) · β — hoist the exp out of the inner loop.
-/// let scan = grid_scan_2d_hoisted(f64::exp, |eg, b| eg * b, (0.0, 1.0), (-1.0, 1.0), 11);
-/// assert_eq!(scan.best_params(), (1.0, -1.0));
-/// ```
-pub fn grid_scan_2d_hoisted<R>(
-    prepare_row: impl FnMut(f64) -> R,
-    mut f: impl FnMut(&R, f64) -> f64,
-    gamma_range: (f64, f64),
-    beta_range: (f64, f64),
-    resolution: usize,
-) -> GridScan {
-    grid_scan_2d_rows(
-        prepare_row,
-        |ctx, betas, out| {
-            for (o, &b) in out.iter_mut().zip(betas) {
-                *o = f(ctx, b);
-            }
-        },
-        gamma_range,
-        beta_range,
-        resolution,
-    )
+    check_ranges(gamma_range, beta_range);
+    let gammas = grid_axis(gamma_range.0, gamma_range.1, resolution);
+    let betas = grid_axis(beta_range.0, beta_range.1, resolution);
+    let values = gammas
+        .iter()
+        .map(|&g| betas.iter().map(|&b| f(g, b)).collect())
+        .collect();
+    assemble(gammas, betas, values)
 }
 
 /// The inclusive axis a [`grid_scan_2d`] dimension visits: `resolution`
@@ -142,63 +107,55 @@ pub fn grid_axis(lo: f64, hi: f64, resolution: usize) -> Vec<f64> {
         .collect()
 }
 
-/// [`grid_scan_2d_hoisted`] with **row-granular** evaluation: instead of
-/// one callback per grid point, `eval_row` receives the whole β axis and
-/// the row's output slice at once. This is the natural shape for
-/// vectorized kernels (`fq_sim::analytic::P1Row::eval_lanes`) that
-/// process β points in fixed-width lanes — the scan no longer dictates a
-/// point-at-a-time calling convention.
+/// [`grid_scan_2d`] with per-row hoisting and **row-granular**
+/// evaluation: `prepare_row` runs **once per γ row**, and `eval_row`
+/// receives that row's context, the whole β axis and the row's output
+/// slice at once. The QAOA p = 1 objective is the motivating case: all
+/// of its trigonometric structure depends on γ only, so a
+/// `resolution²` scan collapses to `resolution` row setups
+/// (`fq_sim::analytic::PreparedP1::row`) plus vectorized per-β assembly
+/// in fixed-width lanes (`fq_sim::analytic::P1Row::eval_lanes`).
+///
+/// With `threads >= 2` the γ rows fan across up to `threads` OS threads:
+/// rows are claimed from an atomic counter and computed independently
+/// (γ rows share no state). `threads <= 1` is a plain sequential loop
+/// with no thread overhead. This crate has no ambient thread-count
+/// policy; callers pass one in (the pipeline passes
+/// `frozenqubits::auto_threads()`, which honors `FQ_THREADS`).
 ///
 /// The grid, visiting order, and strict-improvement tie-breaking are
-/// identical to [`grid_scan_2d`]: rows in ascending γ, the minimum taken
-/// in row-major order. For any `eval_row` that writes `out[j] = f(ctx,
-/// betas[j])`, the resulting [`GridScan`] equals the point-wise scans bit
-/// for bit.
+/// those of [`grid_scan_2d`]: the minimum is reduced sequentially in
+/// row-major order after every row is in. For any `eval_row` that writes
+/// `out[j] = f(ctx, betas[j])`, the resulting [`GridScan`] equals the
+/// point-wise scan bit for bit, for any thread count (pinned by tests).
 ///
 /// `eval_row` is handed `out` zero-filled and must write every element.
 ///
 /// # Panics
 ///
 /// Panics if `resolution < 2` or a range is reversed.
+///
+/// # Example
+///
+/// ```
+/// use fq_optim::grid_scan_2d_rows;
+///
+/// // f(γ, β) = exp(γ) · β — hoist the exp out of the β loop.
+/// let scan = grid_scan_2d_rows(
+///     1,
+///     f64::exp,
+///     |&eg, betas, out| {
+///         for (o, &b) in out.iter_mut().zip(betas) {
+///             *o = eg * b;
+///         }
+///     },
+///     (0.0, 1.0),
+///     (-1.0, 1.0),
+///     11,
+/// );
+/// assert_eq!(scan.best_params(), (1.0, -1.0));
+/// ```
 pub fn grid_scan_2d_rows<R>(
-    mut prepare_row: impl FnMut(f64) -> R,
-    mut eval_row: impl FnMut(&R, &[f64], &mut [f64]),
-    gamma_range: (f64, f64),
-    beta_range: (f64, f64),
-    resolution: usize,
-) -> GridScan {
-    check_ranges(gamma_range, beta_range);
-    let gammas = grid_axis(gamma_range.0, gamma_range.1, resolution);
-    let betas = grid_axis(beta_range.0, beta_range.1, resolution);
-    let values = gammas
-        .iter()
-        .map(|&g| {
-            let ctx = prepare_row(g);
-            let mut row = vec![0.0f64; resolution];
-            eval_row(&ctx, &betas, &mut row);
-            row
-        })
-        .collect();
-    assemble(gammas, betas, values)
-}
-
-/// [`grid_scan_2d_rows`] with the γ rows fanned across `threads` OS
-/// threads. Rows are claimed from an atomic counter, each row is computed
-/// independently (γ rows share no state), and the minimum is then reduced
-/// **sequentially in row-major order** — so the result is bit-identical
-/// to the sequential scan, tie-breaking included, for any thread count
-/// (pinned by tests).
-///
-/// `threads <= 1` (or a resolution of 1 row per thread not being
-/// worthwhile) degrades to the sequential path with zero thread overhead.
-/// This crate has no ambient thread-count policy; callers pass one in
-/// (the pipeline passes `frozenqubits::auto_threads()`, which honors
-/// `FQ_THREADS`).
-///
-/// # Panics
-///
-/// Panics if `resolution < 2` or a range is reversed.
-pub fn grid_scan_2d_rows_par<R>(
     threads: usize,
     prepare_row: impl Fn(f64) -> R + Sync,
     eval_row: impl Fn(&R, &[f64], &mut [f64]) + Sync,
@@ -207,18 +164,19 @@ pub fn grid_scan_2d_rows_par<R>(
     resolution: usize,
 ) -> GridScan {
     check_ranges(gamma_range, beta_range);
-    let workers = threads.min(resolution);
-    if workers <= 1 {
-        return grid_scan_2d_rows(
-            prepare_row,
-            |ctx, betas, out| eval_row(ctx, betas, out),
-            gamma_range,
-            beta_range,
-            resolution,
-        );
-    }
     let gammas = grid_axis(gamma_range.0, gamma_range.1, resolution);
     let betas = grid_axis(beta_range.0, beta_range.1, resolution);
+    let row = |g: f64| {
+        let ctx = prepare_row(g);
+        let mut out = vec![0.0f64; resolution];
+        eval_row(&ctx, &betas, &mut out);
+        out
+    };
+    let workers = threads.min(resolution);
+    if workers <= 1 {
+        let values = gammas.iter().map(|&g| row(g)).collect();
+        return assemble(gammas, betas, values);
+    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Vec<f64>>>> = (0..resolution).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -228,10 +186,7 @@ pub fn grid_scan_2d_rows_par<R>(
                 if i >= resolution {
                     break;
                 }
-                let ctx = prepare_row(gammas[i]);
-                let mut row = vec![0.0f64; resolution];
-                eval_row(&ctx, &betas, &mut row);
-                *slots[i].lock().expect("row slot lock") = Some(row);
+                *slots[i].lock().expect("row slot lock") = Some(row(gammas[i]));
             });
         }
     });
@@ -273,47 +228,24 @@ impl CoarseToFineScan {
 
 /// Loop-perforated landscape scan: a coarse full-range pass, then a
 /// dense local pass over the ±1-cell neighborhood of the coarse
-/// optimum (clamped to the original ranges). This is the `balanced`
-/// QoS tier's scan — `coarse² + refine²` evaluations instead of the
+/// optimum (clamped to the original ranges). This is the approximate
+/// QoS tiers' scan — `coarse² + refine²` evaluations instead of the
 /// exact path's `resolution²`, trading global grid density for local
 /// density exactly where the landscape minimum sits.
 ///
-/// Both passes run sequentially through [`grid_scan_2d`], so the result
-/// is deterministic (and trivially identical across thread counts).
-///
-/// # Panics
-///
-/// Panics if `coarse_resolution < 2`, a range is reversed, or
-/// `refine_resolution == 1` (0 disables refinement; ≥ 2 scans).
-pub fn grid_scan_2d_coarse_to_fine(
-    mut f: impl FnMut(f64, f64) -> f64,
-    gamma_range: (f64, f64),
-    beta_range: (f64, f64),
-    coarse_resolution: usize,
-    refine_resolution: usize,
-) -> CoarseToFineScan {
-    grid_scan_2d_coarse_to_fine_with(
-        |gr, br, res| grid_scan_2d(&mut f, gr, br, res),
-        gamma_range,
-        beta_range,
-        coarse_resolution,
-        refine_resolution,
-    )
-}
-
-/// [`grid_scan_2d_coarse_to_fine`] generic over how each pass is scanned:
-/// `scan_pass(gamma_range, beta_range, resolution)` runs one full pass.
-/// This lets callers with a row-granular vectorized objective (the QAOA
-/// p = 1 lane kernels) drive both passes through [`grid_scan_2d_rows`]
-/// while sharing this driver's window/winner logic — for a `scan_pass`
-/// that evaluates the same objective, the result is identical to the
-/// point-wise driver.
+/// `scan_pass(gamma_range, beta_range, resolution)` runs one full pass:
+/// [`grid_scan_2d`] for a point-wise objective, [`grid_scan_2d_rows`]
+/// for a row-granular vectorized one (the QAOA p = 1 lane kernels). For
+/// passes that evaluate the same objective, the result is the same bit
+/// for bit; a deterministic `scan_pass` makes the whole scan
+/// deterministic.
 ///
 /// # Panics
 ///
 /// Panics if a range is reversed, or on whatever `scan_pass` itself
-/// rejects (the built-in scans need `resolution ≥ 2`).
-pub fn grid_scan_2d_coarse_to_fine_with(
+/// rejects (the built-in scans need `resolution ≥ 2`, so
+/// `refine_resolution == 1` panics; 0 disables refinement).
+pub fn grid_scan_2d_coarse_to_fine(
     mut scan_pass: impl FnMut((f64, f64), (f64, f64), usize) -> GridScan,
     gamma_range: (f64, f64),
     beta_range: (f64, f64),
@@ -377,6 +309,8 @@ fn assemble(gammas: Vec<f64>, betas: Vec<f64>, values: Vec<Vec<f64>>) -> GridSca
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn finds_grid_minimum() {
@@ -405,19 +339,24 @@ mod tests {
     fn hoisted_scan_matches_plain_scan_exactly() {
         let f = |g: f64, b: f64| (g * 3.7).sin() * (b + 0.2).cos() + g * b;
         let plain = grid_scan_2d(f, (-1.5, 1.5), (-0.7, 0.7), 17);
-        let mut rows = 0usize;
-        let hoisted = grid_scan_2d_hoisted(
+        let rows = AtomicUsize::new(0);
+        let hoisted = grid_scan_2d_rows(
+            1,
             |g| {
-                rows += 1;
+                rows.fetch_add(1, Ordering::Relaxed);
                 ((g * 3.7).sin(), g)
             },
-            |&(sg, g), b| sg * (b + 0.2).cos() + g * b,
+            |&(sg, g), betas, out| {
+                for (o, &b) in out.iter_mut().zip(betas) {
+                    *o = sg * (b + 0.2).cos() + g * b;
+                }
+            },
             (-1.5, 1.5),
             (-0.7, 0.7),
             17,
         );
         assert_eq!(plain, hoisted, "hoisting must not change a single bit");
-        assert_eq!(rows, 17, "one row setup per γ, not per point");
+        assert_eq!(rows.into_inner(), 17, "one row setup per γ, not per point");
     }
 
     #[test]
@@ -435,15 +374,15 @@ mod tests {
 
     /// Bitwise equality of two scans, including `−0.0` vs `+0.0` (which
     /// `f64::==` cannot distinguish).
-    fn assert_scan_bits_eq(a: &GridScan, b: &GridScan) {
+    fn assert_scan_bits_eq(a: &GridScan, b: &GridScan, label: &str) {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.gammas), bits(&b.gammas));
-        assert_eq!(bits(&a.betas), bits(&b.betas));
-        assert_eq!(a.values.len(), b.values.len());
+        assert_eq!(bits(&a.gammas), bits(&b.gammas), "{label}: γ axis");
+        assert_eq!(bits(&a.betas), bits(&b.betas), "{label}: β axis");
+        assert_eq!(a.values.len(), b.values.len(), "{label}: row count");
         for (ra, rb) in a.values.iter().zip(&b.values) {
-            assert_eq!(bits(ra), bits(rb));
+            assert_eq!(bits(ra), bits(rb), "{label}: row values");
         }
-        assert_eq!(a.best_index, b.best_index);
+        assert_eq!(a.best_index, b.best_index, "{label}: best index");
     }
 
     #[test]
@@ -457,31 +396,133 @@ mod tests {
         assert_eq!(*g_axis.last().unwrap(), 2.125);
     }
 
+    /// A random ascending range; one in four is zero-width.
+    fn arb_range(rng: &mut StdRng) -> (f64, f64) {
+        let lo = rng.random_range(-2.0..2.0);
+        if rng.random_range(0..4usize) == 0 {
+            (lo, lo)
+        } else {
+            (lo, lo + rng.random_range(0.01..3.0))
+        }
+    }
+
+    /// Every scan against the point-wise oracle, bit for bit, over 64
+    /// seeded cases: random and zero-width ranges, resolution 2 and odd
+    /// resolutions, a random objective factored into a per-row context
+    /// and a per-β tail, and 1, 2 and more threads than rows. The row
+    /// scan must also set each γ row up exactly once, and the
+    /// coarse-to-fine driver must reach the same passes and winner
+    /// whichever scan runs its passes.
+    #[test]
+    fn every_scan_matches_the_pointwise_oracle_on_generated_inputs() {
+        for case in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x5CA7 ^ case);
+            let (gr, br) = (arb_range(&mut rng), arb_range(&mut rng));
+            let resolution = [2usize, 3, 5, 7, 9, 17][rng.random_range(0..6usize)];
+            let refine = [0usize, 2, 5][rng.random_range(0..3usize)];
+            let (a, c) = (rng.random_range(-4.0..4.0), rng.random_range(-1.0..1.0));
+            let f = |g: f64, b: f64| (g * a).sin() * (b + c).cos() + g * b;
+            let label = format!("case {case}: γ {gr:?} β {br:?} res {resolution}");
+
+            let oracle = grid_scan_2d(f, gr, br, resolution);
+            let oracle_c2f = grid_scan_2d_coarse_to_fine(
+                |g_range, b_range, res| grid_scan_2d(f, g_range, b_range, res),
+                gr,
+                br,
+                resolution,
+                refine,
+            );
+            for threads in [1, 2, resolution + 3] {
+                let label = format!("{label}, {threads} threads");
+                let row_setups = AtomicUsize::new(0);
+                let rows_pass = |g_range, b_range, res| {
+                    grid_scan_2d_rows(
+                        threads,
+                        |g| {
+                            row_setups.fetch_add(1, Ordering::Relaxed);
+                            ((g * a).sin(), g)
+                        },
+                        |&(sg, g), betas, out| {
+                            for (o, &b) in out.iter_mut().zip(betas) {
+                                *o = sg * (b + c).cos() + g * b;
+                            }
+                        },
+                        g_range,
+                        b_range,
+                        res,
+                    )
+                };
+                assert_scan_bits_eq(&oracle, &rows_pass(gr, br, resolution), &label);
+                assert_eq!(
+                    row_setups.load(Ordering::Relaxed),
+                    resolution,
+                    "{label}: one row setup per γ, not per point"
+                );
+
+                let c2f = grid_scan_2d_coarse_to_fine(rows_pass, gr, br, resolution, refine);
+                assert_scan_bits_eq(&oracle_c2f.coarse, &c2f.coarse, &label);
+                match (&oracle_c2f.refine, &c2f.refine) {
+                    (Some(a), Some(b)) => assert_scan_bits_eq(a, b, &label),
+                    (None, None) => {}
+                    _ => panic!("{label}: refinement pass ran on one side only"),
+                }
+                let bits = |(g, b): (f64, f64)| (g.to_bits(), b.to_bits());
+                assert_eq!(
+                    bits(oracle_c2f.best_params),
+                    bits(c2f.best_params),
+                    "{label}"
+                );
+                assert_eq!(oracle_c2f.best_value.to_bits(), c2f.best_value.to_bits());
+            }
+        }
+    }
+
     fn test_objective(g: f64, b: f64) -> f64 {
         (g * 3.7).sin() * (b + 0.2).cos() + g * b
     }
 
-    #[test]
-    fn rows_scan_matches_pointwise_scan_exactly() {
-        let plain = grid_scan_2d(test_objective, (-1.5, 1.5), (-0.7, 0.7), 17);
-        let rows = grid_scan_2d_rows(
+    /// [`test_objective`] through the row scan on `threads` threads.
+    fn test_objective_rows(
+        threads: usize,
+        gamma_range: (f64, f64),
+        beta_range: (f64, f64),
+        resolution: usize,
+    ) -> GridScan {
+        grid_scan_2d_rows(
+            threads,
             |g| g,
             |&g, betas, out| {
                 for (o, &b) in out.iter_mut().zip(betas) {
                     *o = test_objective(g, b);
                 }
             },
-            (-1.5, 1.5),
-            (-0.7, 0.7),
-            17,
-        );
-        assert_scan_bits_eq(&plain, &rows);
+            gamma_range,
+            beta_range,
+            resolution,
+        )
+    }
+
+    #[test]
+    fn rows_scan_matches_pointwise_scan_exactly() {
+        let plain = grid_scan_2d(test_objective, (-1.5, 1.5), (-0.7, 0.7), 17);
+        let rows = test_objective_rows(1, (-1.5, 1.5), (-0.7, 0.7), 17);
+        assert_scan_bits_eq(&plain, &rows, "rows scan");
+    }
+
+    #[test]
+    fn parallel_rows_scan_is_bit_identical_for_any_thread_count() {
+        let sequential = test_objective_rows(1, (-1.5, 1.5), (-0.7, 0.7), 19);
+        for threads in [2, 3, 8, 64] {
+            let par = test_objective_rows(threads, (-1.5, 1.5), (-0.7, 0.7), 19);
+            assert_scan_bits_eq(&sequential, &par, &format!("{threads} threads"));
+        }
     }
 
     #[test]
     fn rows_eval_receives_the_beta_axis() {
         let expected = grid_axis(-0.7, 0.7, 9);
         let _ = grid_scan_2d_rows(
+            1,
             |g| g,
             |_, betas, out| {
                 assert_eq!(betas, expected.as_slice());
@@ -494,40 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rows_scan_is_bit_identical_for_any_thread_count() {
-        let sequential = grid_scan_2d_rows(
-            |g| g,
-            |&g, betas, out| {
-                for (o, &b) in out.iter_mut().zip(betas) {
-                    *o = test_objective(g, b);
-                }
-            },
-            (-1.5, 1.5),
-            (-0.7, 0.7),
-            19,
-        );
-        for threads in [1, 2, 3, 8, 64] {
-            let par = grid_scan_2d_rows_par(
-                threads,
-                |g| g,
-                |&g, betas, out| {
-                    for (o, &b) in out.iter_mut().zip(betas) {
-                        *o = test_objective(g, b);
-                    }
-                },
-                (-1.5, 1.5),
-                (-0.7, 0.7),
-                19,
-            );
-            assert_scan_bits_eq(&sequential, &par);
-        }
-    }
-
-    #[test]
     fn coarse_to_fine_refines_toward_the_true_minimum() {
         // Bowl with the minimum off-grid for the coarse pass.
         let f = |g: f64, b: f64| (g - 0.437).powi(2) + (b + 0.291).powi(2);
-        let scan = grid_scan_2d_coarse_to_fine(f, (-1.0, 1.0), (-1.0, 1.0), 7, 5);
+        let pass = |gr, br, res| grid_scan_2d(f, gr, br, res);
+        let scan = grid_scan_2d_coarse_to_fine(pass, (-1.0, 1.0), (-1.0, 1.0), 7, 5);
         assert!(scan.refine.is_some());
         assert_eq!(scan.evaluations(), 7 * 7 + 5 * 5);
         // The refinement must do at least as well as the coarse pass...
@@ -538,7 +550,7 @@ mod tests {
         assert!((b + 0.291).abs() < 2.0 / 6.0);
 
         // Refinement disabled: pure coarse pass.
-        let coarse_only = grid_scan_2d_coarse_to_fine(f, (-1.0, 1.0), (-1.0, 1.0), 7, 0);
+        let coarse_only = grid_scan_2d_coarse_to_fine(pass, (-1.0, 1.0), (-1.0, 1.0), 7, 0);
         assert!(coarse_only.refine.is_none());
         assert_eq!(coarse_only.best_params, coarse_only.coarse.best_params());
         assert_eq!(coarse_only.evaluations(), 49);
@@ -546,21 +558,15 @@ mod tests {
 
     #[test]
     fn coarse_to_fine_with_rows_pass_matches_the_pointwise_driver() {
-        let pointwise = grid_scan_2d_coarse_to_fine(test_objective, (-1.5, 1.5), (-0.7, 0.7), 9, 5);
-        let rows = grid_scan_2d_coarse_to_fine_with(
-            |gr, br, res| {
-                grid_scan_2d_rows(
-                    |g| g,
-                    |&g, betas, out| {
-                        for (o, &b) in out.iter_mut().zip(betas) {
-                            *o = test_objective(g, b);
-                        }
-                    },
-                    gr,
-                    br,
-                    res,
-                )
-            },
+        let pointwise = grid_scan_2d_coarse_to_fine(
+            |gr, br, res| grid_scan_2d(test_objective, gr, br, res),
+            (-1.5, 1.5),
+            (-0.7, 0.7),
+            9,
+            5,
+        );
+        let rows = grid_scan_2d_coarse_to_fine(
+            |gr, br, res| test_objective_rows(1, gr, br, res),
             (-1.5, 1.5),
             (-0.7, 0.7),
             9,
@@ -573,7 +579,8 @@ mod tests {
     fn coarse_to_fine_windows_stay_inside_the_ranges() {
         // Minimum at a corner: the refine window must clamp.
         let f = |g: f64, b: f64| g + b;
-        let scan = grid_scan_2d_coarse_to_fine(f, (0.0, 1.0), (0.0, 1.0), 5, 5);
+        let pass = |gr, br, res| grid_scan_2d(f, gr, br, res);
+        let scan = grid_scan_2d_coarse_to_fine(pass, (0.0, 1.0), (0.0, 1.0), 5, 5);
         let refined = scan.refine.unwrap();
         assert!(refined.gammas.iter().all(|&g| (0.0..=1.0).contains(&g)));
         assert!(refined.betas.iter().all(|&b| (0.0..=1.0).contains(&b)));
@@ -584,7 +591,7 @@ mod tests {
     fn parallel_rows_scan_breaks_ties_in_row_major_order() {
         // A constant landscape ties everywhere: row-major reduction must
         // pick (0, 0) regardless of which thread finished first.
-        let par = grid_scan_2d_rows_par(
+        let par = grid_scan_2d_rows(
             4,
             |g| g,
             |_, _, out| out.fill(2.5),

@@ -9,7 +9,13 @@
 //! * [`spsa`] — simultaneous-perturbation stochastic approximation, robust
 //!   to sampling noise;
 //! * [`grid_scan_2d`] — the exhaustive 50×50 `(γ, β)` sweep behind the
-//!   optimization-landscape study (Fig. 12).
+//!   optimization-landscape study (Fig. 12), and the oracle the faster
+//!   scans are tested against;
+//! * [`grid_scan_2d_rows`] — the same grid one γ row at a time, with
+//!   per-row hoisting and an optional thread fan-out: the scan that
+//!   seeds every exact p = 1 parameter optimization;
+//! * [`grid_scan_2d_coarse_to_fine`] — a coarse pass plus a local
+//!   refinement, the approximate QoS tiers' loop-perforated scan.
 //!
 //! # Example
 //!
@@ -34,8 +40,8 @@ mod nm;
 mod spsa;
 
 pub use grid::{
-    grid_axis, grid_scan_2d, grid_scan_2d_coarse_to_fine, grid_scan_2d_coarse_to_fine_with,
-    grid_scan_2d_hoisted, grid_scan_2d_rows, grid_scan_2d_rows_par, CoarseToFineScan, GridScan,
+    grid_axis, grid_scan_2d, grid_scan_2d_coarse_to_fine, grid_scan_2d_rows, CoarseToFineScan,
+    GridScan,
 };
 pub use nm::{nelder_mead, NelderMeadOptions};
 pub use spsa::{spsa, SpsaOptions};

@@ -212,6 +212,43 @@ fn unknown_qos_tiers_get_a_structured_422() {
 }
 
 #[test]
+fn specs_the_builder_refuses_get_a_structured_422() {
+    let (handle, addr) = spawn(ServerConfig::default());
+
+    // A fast-tier sampling job: the builder refuses it (sampling has no
+    // approximate variant), so the wire must too — running it would
+    // wrap a sampling result in an error model that never applied.
+    let fast = JobBuilder::new()
+        .barabasi_albert(8, 1, 1)
+        .device(DeviceSpec::IbmMontreal)
+        .frozen()
+        .tier(QosTier::Fast)
+        .build()
+        .unwrap()
+        .to_json();
+    let fast_sample = fast.replace(
+        "\"kind\":{\"type\":\"frozen\"}",
+        "\"kind\":{\"type\":\"sample\",\"shots\":64}",
+    );
+    // A zero-point parameter grid, which no scan can honour.
+    let exact = small_spec().to_json();
+    let zero_grid = exact.replace("\"param_grid\":15", "\"param_grid\":0");
+    assert_ne!(fast_sample, fast, "the kind mutation must apply");
+    assert_ne!(zero_grid, exact, "the grid mutation must apply");
+    for body in [&fast_sample, &zero_grid] {
+        let response = client::request(&addr, "POST", "/v1/jobs", Some(body)).unwrap();
+        assert_eq!(response.status, 422, "{body}: {}", response.body);
+        let error = response.json().unwrap().field("error").unwrap().clone();
+        assert_eq!(
+            error.field("kind").unwrap().as_str().unwrap(),
+            "invalid_config"
+        );
+    }
+
+    handle.shutdown();
+}
+
+#[test]
 fn framing_abuse_gets_structured_errors_not_hangs() {
     let (handle, addr) = spawn(ServerConfig {
         max_body_bytes: 1024,

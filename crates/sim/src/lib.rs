@@ -48,7 +48,6 @@ mod eps;
 mod error;
 mod ideal;
 mod mc;
-mod mitigation;
 pub mod noise;
 mod state;
 
@@ -58,7 +57,6 @@ pub use eps::{eps, log_eps};
 pub use error::SimError;
 pub use ideal::{qaoa_expectation_sv, run_circuit, sample_distribution};
 pub use mc::{sample_noisy, NoisySamplerConfig};
-pub use mitigation::ReadoutMitigator;
 pub use noise::{
     fidelity_model, gate_error_rates, lightcone_fidelities, lightcone_fidelities_truncated,
     noisy_expectation_from_lightcone, noisy_expectation_from_terms, noisy_expectation_lightcone,
@@ -79,7 +77,6 @@ mod thread_safety {
         assert_send_sync::<Complex>();
         assert_send_sync::<SimError>();
         assert_send_sync::<NoisySamplerConfig>();
-        assert_send_sync::<ReadoutMitigator>();
         assert_send_sync::<FidelityModel>();
         assert_send_sync::<LightconeFidelity>();
         assert_send_sync::<Statevector>();

@@ -2,23 +2,20 @@
 //! Fig. 1(b): hub airports are hotspots, and freezing them is cheap in
 //! state space but huge in CNOT count.
 //!
-//! This example deliberately sticks to the **deprecated free-function
-//! entry point** (`solve_with_sampling`) as the workspace's back-compat
-//! proof: the wrapper is a one-liner over the job API and must keep
-//! producing identical results. New code should use
-//! `frozenqubits::api::JobBuilder` — see `quickstart.rs`.
+//! The slice is an explicit Ising model on a real device model, so it
+//! runs as a `Job::from_parts` sampling job (the wire-form
+//! `JobBuilder` route is shown in `quickstart.rs`).
 //!
 //! ```text
 //! cargo run --release --example airport_maxcut
 //! ```
-#![allow(deprecated)]
 
 use fq_graphs::powerlaw;
 use fq_ising::maxcut::cut_value;
 use fq_ising::solve::exact_solve;
 use fq_suite::models;
 use fq_transpile::Device;
-use frozenqubits::{solve_with_sampling, FqError, FrozenQubitsConfig};
+use frozenqubits::{FqError, FrozenQubitsConfig, Job, JobKind};
 
 fn main() -> Result<(), FqError> {
     // 1. The full 1300-airport network reproduces the Fig. 1(b) statistics.
@@ -49,7 +46,9 @@ fn main() -> Result<(), FqError> {
     let device = Device::ibm_auckland();
     for m in [0usize, 1, 2] {
         let cfg = FrozenQubitsConfig::with_frozen(m);
-        let out = solve_with_sampling(&model, &device, &cfg, 4096)?;
+        let out = Job::from_parts(&model, &device, &cfg, JobKind::Sample { shots: 4096 })
+            .run()?
+            .into_sample()?;
         let cut = cut_value(&edges, &out.best)?;
         println!(
             "m = {m}: best energy {:>6.1} (cut {:>4.1}) frozen {:?} — optimum found: {}",

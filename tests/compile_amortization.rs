@@ -1,4 +1,4 @@
-//! The plan/execute acceptance criterion: `run_frozen`/`solve` with
+//! The plan/execute acceptance criterion: frozen and sampling jobs with
 //! `m ≥ 1` invoke `fq_transpile::compile` exactly **once per distinct
 //! sub-circuit shape** — not once per branch — proving the `2^m → 1`
 //! compile amortization.
@@ -6,30 +6,39 @@
 //! `compile_invocations()` is process-global, so this file holds a single
 //! test (its own process) and measures deltas with nothing else compiling.
 //! (The cross-job batch amortization is asserted the same way in
-//! `tests/batch_amortization.rs`.)
-//!
-//! These assertions run unchanged through the deprecated free-function
-//! wrappers, which are one-liners over the job API — so they pin the new
-//! entry path's compile counts too.
-#![allow(deprecated)]
+//! `tests/batch_amortization.rs`.) Every job runs through the job API
+//! (`Job::from_parts`), the path every caller takes.
 
 use fq_graphs::{gen, to_ising_pm1};
+use fq_ising::IsingModel;
 use fq_transpile::{compile_invocations, Device};
-use frozenqubits::{compare, plan_execution, run_frozen, solve_with_sampling, FrozenQubitsConfig};
+use frozenqubits::api::JobResult;
+use frozenqubits::{plan_execution, FrozenQubitsConfig, Job, JobKind};
+
+fn run(
+    model: &IsingModel,
+    device: &Device,
+    config: &FrozenQubitsConfig,
+    kind: JobKind,
+) -> JobResult {
+    Job::from_parts(model, device, config, kind).run().unwrap()
+}
 
 #[test]
 fn one_compile_per_distinct_sub_shape() {
     let device = Device::ibm_montreal();
     let model = to_ising_pm1(&gen::barabasi_albert(12, 1, 9).unwrap(), 9);
 
-    // run_frozen: one template regardless of the branch count.
+    // Frozen jobs: one template regardless of the branch count.
     for m in 1..=3usize {
         let cfg = FrozenQubitsConfig::with_frozen(m);
         let plan = plan_execution(&model, &device, &cfg).unwrap();
         assert_eq!(plan.num_templates(), 1, "m={m}: one distinct sub-shape");
 
         let before = compile_invocations();
-        let (summary, _) = run_frozen(&model, &device, &cfg).unwrap();
+        let (summary, _) = run(&model, &device, &cfg, JobKind::Frozen)
+            .into_frozen()
+            .unwrap();
         let compiles = compile_invocations() - before;
         assert_eq!(
             compiles, 1,
@@ -41,13 +50,23 @@ fn one_compile_per_distinct_sub_shape() {
 
     // compare = baseline shape + frozen shape: exactly two compiles.
     let before = compile_invocations();
-    compare(&model, &device, &FrozenQubitsConfig::with_frozen(3)).unwrap();
+    run(
+        &model,
+        &device,
+        &FrozenQubitsConfig::with_frozen(3),
+        JobKind::Compare,
+    );
     assert_eq!(compile_invocations() - before, 2);
 
     // The sampling solver amortizes identically.
     let small = to_ising_pm1(&gen::barabasi_albert(7, 1, 4).unwrap(), 4);
     let before = compile_invocations();
-    solve_with_sampling(&small, &device, &FrozenQubitsConfig::with_frozen(3), 128).unwrap();
+    run(
+        &small,
+        &device,
+        &FrozenQubitsConfig::with_frozen(3),
+        JobKind::Sample { shots: 128 },
+    );
     assert_eq!(
         compile_invocations() - before,
         1,

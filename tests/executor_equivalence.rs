@@ -1,19 +1,15 @@
 //! Executor equivalence: the parallel backend must be a pure scheduling
-//! change — every pipeline entry point has to produce **identical**
-//! results under `SequentialExecutor` and `ParallelExecutor`.
-//!
-//! The original tests below run **unchanged** through the deprecated
-//! free-function wrappers (the back-compat guarantee); the final test
-//! reruns the same workloads through the new job API and demands
-//! bit-identical results.
-#![allow(deprecated)]
+//! change — every job kind has to produce **identical** results under
+//! `SequentialExecutor` and `ParallelExecutor`, through the job API
+//! (`Job::from_parts`) and through a raw plan.
 
 use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
 use fq_transpile::Device;
+use frozenqubits::api::JobResult;
 use frozenqubits::{
-    compare, plan_execution, run_frozen, solve_with_sampling, Executor, ExecutorKind,
-    FrozenQubitsConfig, ParallelExecutor, SequentialExecutor,
+    plan_execution, Executor, ExecutorKind, FrozenQubitsConfig, Job, JobKind, ParallelExecutor,
+    SequentialExecutor,
 };
 
 fn ba(n: usize, seed: u64) -> IsingModel {
@@ -27,14 +23,27 @@ fn cfg(m: usize, executor: ExecutorKind) -> FrozenQubitsConfig {
     }
 }
 
+fn run(
+    model: &IsingModel,
+    device: &Device,
+    config: &FrozenQubitsConfig,
+    kind: JobKind,
+) -> JobResult {
+    Job::from_parts(model, device, config, kind).run().unwrap()
+}
+
 #[test]
 fn run_frozen_is_identical_across_backends_for_m_1_2_3() {
     let device = Device::ibm_montreal();
     for m in 1..=3usize {
         let model = ba(12, 20 + m as u64);
-        let (seq, seq_hot) =
-            run_frozen(&model, &device, &cfg(m, ExecutorKind::Sequential)).unwrap();
-        let (par, par_hot) = run_frozen(&model, &device, &cfg(m, ExecutorKind::Parallel)).unwrap();
+        let frozen = |executor| {
+            run(&model, &device, &cfg(m, executor), JobKind::Frozen)
+                .into_frozen()
+                .unwrap()
+        };
+        let (seq, seq_hot) = frozen(ExecutorKind::Sequential);
+        let (par, par_hot) = frozen(ExecutorKind::Parallel);
         assert_eq!(seq_hot, par_hot, "m={m}: frozen qubits differ");
         // Full RunSummary equality: label, arg, ev_*, metrics, params.
         assert_eq!(seq, par, "m={m}: backends disagree");
@@ -46,8 +55,13 @@ fn run_frozen_is_identical_across_backends_for_m_1_2_3() {
 fn compare_reports_are_identical_across_backends() {
     let device = Device::ibm_montreal();
     let model = ba(12, 31);
-    let seq = compare(&model, &device, &cfg(2, ExecutorKind::Sequential)).unwrap();
-    let par = compare(&model, &device, &cfg(2, ExecutorKind::Parallel)).unwrap();
+    let compare = |executor| {
+        run(&model, &device, &cfg(2, executor), JobKind::Compare)
+            .into_compare()
+            .unwrap()
+    };
+    let seq = compare(ExecutorKind::Sequential);
+    let par = compare(ExecutorKind::Parallel);
     assert_eq!(seq, par);
     assert!(seq.improvement > 0.0);
 }
@@ -79,40 +93,18 @@ fn raw_executor_outcomes_are_identical_and_ordered() {
 fn sampling_solver_is_identical_across_backends() {
     let device = Device::ibm_montreal();
     let model = ba(8, 33);
-    let seq = solve_with_sampling(&model, &device, &cfg(2, ExecutorKind::Sequential), 512).unwrap();
-    let par = solve_with_sampling(&model, &device, &cfg(2, ExecutorKind::Parallel), 512).unwrap();
-    assert_eq!(seq, par);
-    assert_eq!(seq.best.len(), 8);
-}
-
-#[test]
-fn job_api_matches_the_deprecated_wrappers_bit_for_bit() {
-    use frozenqubits::{Job, JobKind};
-
-    let device = Device::ibm_montreal();
-    for executor in [ExecutorKind::Sequential, ExecutorKind::Parallel] {
-        let model = ba(12, 31);
-        let config = cfg(2, executor);
-        let old = compare(&model, &device, &config).unwrap();
-        let new = Job::from_parts(&model, &device, &config, JobKind::Compare)
-            .run()
-            .unwrap()
-            .into_compare()
-            .unwrap();
-        assert_eq!(old, new, "{executor:?}: compare diverges");
-
-        let sample_model = ba(8, 33);
-        let old = solve_with_sampling(&sample_model, &device, &config, 512).unwrap();
-        let new = Job::from_parts(
-            &sample_model,
+    let sample = |executor| {
+        run(
+            &model,
             &device,
-            &config,
+            &cfg(2, executor),
             JobKind::Sample { shots: 512 },
         )
-        .run()
-        .unwrap()
         .into_sample()
-        .unwrap();
-        assert_eq!(old, new, "{executor:?}: sampling diverges");
-    }
+        .unwrap()
+    };
+    let seq = sample(ExecutorKind::Sequential);
+    let par = sample(ExecutorKind::Parallel);
+    assert_eq!(seq, par);
+    assert_eq!(seq.best.len(), 8);
 }

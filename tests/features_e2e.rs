@@ -1,14 +1,11 @@
 //! Integration tests of the extension features: QASM export of compiled
-//! circuits, readout mitigation stacked on the noisy sampler, the adaptive
-//! freeze recommendation feeding the pipeline, and multi-layer QAOA
-//! through freezing.
+//! circuits, and multi-layer QAOA through freezing.
 
 use fq_circuit::{build_qaoa_circuit, to_qasm};
 use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
-use fq_sim::{sample_noisy, NoisySamplerConfig, ReadoutMitigator};
 use fq_transpile::{compile, CompileOptions, Device};
-use frozenqubits::{suggest_num_frozen, FreezeBudget, FrozenQubitsConfig, Job, JobKind};
+use frozenqubits::{FrozenQubitsConfig, Job, JobKind};
 
 fn ba(n: usize, seed: u64) -> IsingModel {
     to_ising_pm1(&gen::barabasi_albert(n, 1, seed).unwrap(), seed)
@@ -33,72 +30,6 @@ fn compiled_circuits_export_to_qasm() {
 }
 
 #[test]
-fn readout_mitigation_improves_noisy_expectation() {
-    // Sample on a machine whose only strong error is readout, then undo it.
-    let model = ba(6, 3);
-    let topo = fq_transpile::Topology::grid(3, 3).unwrap();
-    let device = Device::uniform(
-        "readout-only",
-        topo,
-        1e-6,
-        0.08,
-        1e9,
-        fq_transpile::GateDurations::default(),
-    )
-    .unwrap();
-    let (g, b) = frozenqubits::optimize_parameters(&model, 15).unwrap();
-    let qc = build_qaoa_circuit(&model, 1)
-        .unwrap()
-        .bind(&[g], &[b])
-        .unwrap();
-    let compiled = compile(&qc, &device, CompileOptions::level3()).unwrap();
-    let dist = sample_noisy(
-        &compiled,
-        &device,
-        NoisySamplerConfig {
-            shots: 60_000,
-            trajectories: 16,
-            seed: 1,
-        },
-    )
-    .unwrap();
-    let ideal = fq_sim::analytic::expectation_p1(&model, g, b).unwrap();
-    let raw = dist.expectation(&model).unwrap();
-    let mitigator = ReadoutMitigator::new(vec![0.08; 6]).unwrap();
-    let fixed = mitigator.mitigate_expectation(&model, &dist).unwrap();
-    assert!(
-        (fixed - ideal).abs() < (raw - ideal).abs(),
-        "mitigated {fixed} must beat raw {raw} against ideal {ideal}"
-    );
-    assert!(
-        (fixed - ideal).abs() < 0.15,
-        "mitigated {fixed} vs ideal {ideal}"
-    );
-}
-
-#[test]
-fn adaptive_recommendation_feeds_the_pipeline() {
-    let model = ba(20, 5);
-    let rec = suggest_num_frozen(
-        &model,
-        &FreezeBudget {
-            max_quantum_cost: 8,
-            min_marginal_gain: 0.01,
-            max_frozen: 6,
-        },
-    )
-    .unwrap();
-    assert!(rec.m >= 1);
-    let cfg = FrozenQubitsConfig::with_frozen(rec.m);
-    let (summary, _) = Job::from_parts(&model, &Device::ibm_montreal(), &cfg, JobKind::Frozen)
-        .run()
-        .unwrap()
-        .into_frozen()
-        .unwrap();
-    assert_eq!(summary.circuits_executed, rec.quantum_cost);
-}
-
-#[test]
 fn multilayer_qaoa_composes_with_freezing() {
     let model = ba(10, 7);
     let device = Device::ibm_montreal();
@@ -115,31 +46,4 @@ fn multilayer_qaoa_composes_with_freezing() {
     assert!(s.arg.is_finite());
     // Two layers double the per-edge CNOT count of the sub-circuit.
     assert!(s.metrics.logical_cnots >= 2 * (model.num_couplings() - model.degrees()[hotspots[0]]));
-}
-
-#[test]
-fn mitigated_sampling_composes_with_frozen_solve() {
-    // The full stack: freeze, sample noisily, decode, then mitigate the
-    // union distribution's expectation with the device's readout rates.
-    let model = ba(8, 11);
-    let device = Device::ibm_auckland();
-    let out = Job::from_parts(
-        &model,
-        &device,
-        &FrozenQubitsConfig::default(),
-        JobKind::Sample { shots: 4096 },
-    )
-    .run()
-    .unwrap()
-    .into_sample()
-    .unwrap();
-    // Mean readout error across the device as a crude per-qubit estimate.
-    let eps = (0..model.num_vars()).map(|_| 0.016).collect::<Vec<_>>();
-    let mitigator = ReadoutMitigator::new(eps).unwrap();
-    let raw = out.distribution.expectation(&model).unwrap();
-    let fixed = mitigator
-        .mitigate_expectation(&model, &out.distribution)
-        .unwrap();
-    // Mitigation must push the EV further from zero (undoing attenuation).
-    assert!(fixed <= raw + 1e-9, "mitigated {fixed} vs raw {raw}");
 }

@@ -1,14 +1,14 @@
 //! End-to-end bit-identity of the vectorized landscape scan: the lane
-//! kernels + row-parallel scan that `optimize_parameters` now runs must
-//! reproduce the scalar point-at-a-time hoisted scan — the previous
+//! kernels + row-parallel scan that `optimize_parameters_prepared` runs
+//! must reproduce the scalar point-at-a-time hoisted scan — the previous
 //! implementation — bit for bit, at production scale (a Barabási–Albert
 //! ±1 model like the benchmark's), for any thread count.
 
 use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
-use fq_optim::{grid_axis, grid_scan_2d_hoisted, grid_scan_2d_rows_par, GridScan};
+use fq_optim::{grid_axis, grid_scan_2d_rows, GridScan};
 use fq_sim::analytic::{BetaTrig, PreparedP1};
-use frozenqubits::{auto_threads, optimize_parameters, optimize_parameters_prepared};
+use frozenqubits::auto_threads;
 
 const GAMMA: (f64, f64) = (-std::f64::consts::FRAC_PI_2, std::f64::consts::FRAC_PI_2);
 const BETA: (f64, f64) = (-std::f64::consts::FRAC_PI_4, std::f64::consts::FRAC_PI_4);
@@ -19,9 +19,14 @@ fn bench_model(n: usize, d: usize) -> IsingModel {
 
 /// The pre-vectorization scan: scalar `P1Row::at` per point, sequential.
 fn scalar_scan(prepared: &PreparedP1<'_>, resolution: usize) -> GridScan {
-    grid_scan_2d_hoisted(
+    grid_scan_2d_rows(
+        1,
         |g| prepared.row(g),
-        |row, b| row.at(b),
+        |row, betas, out| {
+            for (o, &b) in out.iter_mut().zip(betas) {
+                *o = row.at(b);
+            }
+        },
         GAMMA,
         BETA,
         resolution,
@@ -32,7 +37,7 @@ fn scalar_scan(prepared: &PreparedP1<'_>, resolution: usize) -> GridScan {
 /// β trig, γ rows fanned across `threads`.
 fn lane_scan(prepared: &PreparedP1<'_>, resolution: usize, threads: usize) -> GridScan {
     let trig = BetaTrig::new(&grid_axis(BETA.0, BETA.1, resolution));
-    grid_scan_2d_rows_par(
+    grid_scan_2d_rows(
         threads,
         |g| prepared.row(g),
         |row, _betas, out| row.eval_lanes::<8>(&trig, out),
@@ -77,17 +82,5 @@ fn vectorized_scan_is_bit_identical_on_small_irregular_grids() {
                 &format!("res {resolution}, {threads} threads"),
             );
         }
-    }
-}
-
-#[test]
-fn optimize_parameters_prepared_matches_unprepared_entry_point() {
-    for (n, d) in [(24, 2), (48, 2)] {
-        let model = bench_model(n, d);
-        let prepared = PreparedP1::new(&model);
-        let via_model = optimize_parameters(&model, 21).unwrap();
-        let via_prepared = optimize_parameters_prepared(&prepared, 21).unwrap();
-        assert_eq!(via_model.0.to_bits(), via_prepared.0.to_bits(), "γ, n={n}");
-        assert_eq!(via_model.1.to_bits(), via_prepared.1.to_bits(), "β, n={n}");
     }
 }

@@ -13,8 +13,7 @@ fn ba(n: usize, seed: u64) -> IsingModel {
     to_ising_pm1(&gen::barabasi_albert(n, 1, seed).unwrap(), seed)
 }
 
-/// The sampling path through the job API (what `solve_with_sampling`
-/// wraps).
+/// The sampling path through the job API.
 fn solve(
     model: &IsingModel,
     device: &Device,
