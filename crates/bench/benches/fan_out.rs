@@ -1,21 +1,21 @@
-//! Branch fan-out benchmark: the same [`ExecutionPlan`] executed by the
-//! sequential and the parallel backend.
+//! Branch fan-out benchmark: the same [`ExecutionPlan`] run by the
+//! simulator backend on one thread and on every core.
 //!
 //! Freezing `m` hotspots fans execution out into `2^{m−1}` independent
-//! branches; this bench measures how much of that fan-out the
-//! `ParallelExecutor` turns into wall-clock speedup, and verifies that the
-//! two backends agree bit-for-bit while doing so.
+//! branches; this bench measures how much of that fan-out
+//! `ExecutorKind::Parallel` turns into wall-clock speedup, and verifies
+//! that the two schedules agree bit-for-bit while doing so.
 
 use fq_bench::harness::{bench, fmt_time};
 use fq_graphs::{gen, to_ising_pm1};
 use fq_transpile::Device;
-use frozenqubits::{
-    plan_execution, Executor, FrozenQubitsConfig, ParallelExecutor, SequentialExecutor,
-};
+use frozenqubits::{plan_execution, BackendSpec, ExecutorKind, FrozenQubitsConfig};
 
 fn main() {
     let model = to_ising_pm1(&gen::barabasi_albert(24, 1, 1).unwrap(), 1);
     let device = Device::ibm_montreal();
+    let sequential = BackendSpec::Sim.build(ExecutorKind::Sequential);
+    let parallel = BackendSpec::Sim.build(ExecutorKind::Parallel);
     println!("== branch fan-out: sequential vs parallel executor ==");
     println!(
         "cores available: {}",
@@ -26,27 +26,21 @@ fn main() {
         let plan = plan_execution(&model, &device, &cfg).unwrap();
         let branches = plan.num_branches();
 
-        let seq = SequentialExecutor.execute(&plan, &device, &cfg).unwrap();
-        let par = ParallelExecutor::default()
-            .execute(&plan, &device, &cfg)
-            .unwrap();
-        assert_eq!(seq, par, "backends must agree bit-for-bit");
+        let seq = sequential.run(&plan, &device, &cfg).unwrap();
+        let par = parallel.run(&plan, &device, &cfg).unwrap();
+        assert_eq!(seq, par, "schedules must agree bit-for-bit");
 
         let t_seq = bench(
             &format!("m={m} ({branches} branches) sequential"),
             1,
             5,
-            || SequentialExecutor.execute(&plan, &device, &cfg).unwrap(),
+            || sequential.run(&plan, &device, &cfg).unwrap(),
         );
         let t_par = bench(
             &format!("m={m} ({branches} branches) parallel"),
             1,
             5,
-            || {
-                ParallelExecutor::default()
-                    .execute(&plan, &device, &cfg)
-                    .unwrap()
-            },
+            || parallel.run(&plan, &device, &cfg).unwrap(),
         );
         println!(
             "  -> speedup {:.2}x  (saved {} per run)\n",

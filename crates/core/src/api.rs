@@ -2,7 +2,7 @@
 //!
 //! Everything the pipeline can do is expressed as a **job**: a problem
 //! (explicit Ising model, weighted graph, or generator family), a device,
-//! a [`FrozenQubitsConfig`], a [`Backend`] choice and a [`JobKind`].
+//! a [`FrozenQubitsConfig`], a [`BackendSpec`] choice and a [`JobKind`].
 //! The flow is
 //!
 //! ```text
@@ -17,10 +17,12 @@
 //!   ([`JobSpec::to_json`] / [`JobSpec::from_json`]), so specs can be
 //!   queued, logged and replayed byte-for-byte — the wire format the
 //!   `fq-serve` HTTP job service speaks verbatim.
-//! * [`Backend`] makes the execution substrate explicit: the statevector
-//!   simulator is [`SimBackend`], *chosen*, not assumed, and
-//!   [`NoiseModelBackend`] trades lightcone fidelity modelling for a
-//!   cheaper global process-fidelity estimate.
+//! * [`BackendSpec`] makes the noise model explicit: the paper's
+//!   lightcone model is [`BackendSpec::Sim`], *chosen*, not assumed, and
+//!   [`BackendSpec::NoiseModel`] trades it for a cheaper global
+//!   process-fidelity estimate. [`BackendSpec::build`] pairs the choice
+//!   with an [`ExecutorKind`](crate::ExecutorKind) into a [`Backend`]
+//!   that runs one plan.
 //! * [`BatchRunner`] executes many specs against one shared
 //!   [`TemplateCache`], extending the per-job
 //!   compile-once amortization across jobs.
@@ -45,8 +47,7 @@ mod batch;
 pub(crate) mod wire;
 
 pub use crate::config::QosTier;
-pub(crate) use backend::noise_model_sampling_error;
-pub use backend::{Backend, BackendSpec, NoiseModelBackend, SimBackend};
+pub use backend::{Backend, BackendSpec};
 pub use batch::BatchRunner;
 
 use fq_graphs::{gen, to_ising_pm1, to_ising_unit, Graph};
@@ -461,13 +462,7 @@ impl JobSpec {
                     "sampling jobs need at least 1 shot".into(),
                 ));
             }
-            if self.backend == BackendSpec::NoiseModel {
-                return Err(FqError::InvalidConfig(
-                    "the noise_model backend models expectations, not shot distributions; \
-                     use the sim backend for sampling jobs"
-                        .into(),
-                ));
-            }
+            self.backend.check_sampling()?;
             if !config.tier.is_exact() {
                 return Err(FqError::InvalidConfig(
                     "sampling jobs are stochastic end to end and have no approximate \
@@ -480,12 +475,14 @@ impl JobSpec {
         if num_vars == 0 {
             return Err(FqError::InvalidConfig("problem has no variables".into()));
         }
-        let freezes = !matches!(self.kind, JobKind::Baseline);
-        if freezes && config.num_frozen > num_vars {
-            return Err(FqError::TooManyFrozen {
-                m: config.num_frozen,
-                num_vars,
-            });
+        if !matches!(self.kind, JobKind::Baseline) {
+            if config.num_frozen > num_vars {
+                return Err(FqError::TooManyFrozen {
+                    m: config.num_frozen,
+                    num_vars,
+                });
+            }
+            crate::partition::check_frozen_count(config.num_frozen)?;
         }
         if config.layers >= 2 {
             // Multi-layer optimization simulates the exact state; check
@@ -600,7 +597,8 @@ impl JobBuilder {
         self
     }
 
-    /// Sets the branch-execution scheduling backend.
+    /// Sets how many branches run at once (scheduling only; results
+    /// are identical under every [`ExecutorKind`](crate::ExecutorKind)).
     #[must_use]
     pub fn executor(mut self, executor: crate::ExecutorKind) -> Self {
         self.config.executor = executor;
@@ -704,7 +702,8 @@ pub struct Job {
 }
 
 impl Job {
-    /// A job from already-resolved parts, on the default [`SimBackend`].
+    /// A job from already-resolved parts, on the default
+    /// [`BackendSpec::Sim`].
     ///
     /// Unchecked: unlike [`JobBuilder::build`] and
     /// [`JobSpec::from_json`], this in-process constructor applies none
@@ -833,31 +832,6 @@ impl Job {
                 )
             })
             .collect()
-    }
-
-    /// The per-branch noise model this job's backend evaluates — how the
-    /// batch engine drives branches without going through the
-    /// [`Backend`] object (the two built-in backends differ only here).
-    ///
-    /// Deliberately exhaustive: a new [`BackendSpec`] variant must not
-    /// fall through to the simulator's physics in batches, so adding one
-    /// fails to compile here (and in [`Job::sampling_supported`]) until
-    /// the batch engine learns how to drive it.
-    pub(crate) fn branch_noise(&self) -> crate::NoiseEval {
-        match self.backend {
-            BackendSpec::Sim => crate::NoiseEval::Lightcone,
-            BackendSpec::NoiseModel => crate::NoiseEval::ProcessFidelity,
-        }
-    }
-
-    /// Whether this job's backend has sampling physics — the batch
-    /// engine's counterpart of [`Backend::sample`]'s rejection, kept
-    /// exhaustive for the same reason as [`Job::branch_noise`].
-    pub(crate) fn sampling_supported(&self) -> bool {
-        match self.backend {
-            BackendSpec::Sim => true,
-            BackendSpec::NoiseModel => false,
-        }
     }
 
     /// Reassembles unit outputs (in [`Job::decompose`] order) into the
@@ -1472,7 +1446,7 @@ mod tests {
             .unwrap();
         let a = spec.run().unwrap().into_frozen().unwrap();
         let b = spec.run().unwrap().into_frozen().unwrap();
-        assert_eq!(a, b, "NoiseModelBackend must be deterministic");
+        assert_eq!(a, b, "the noise_model backend must be deterministic");
 
         let sim = JobSpec {
             backend: BackendSpec::Sim,

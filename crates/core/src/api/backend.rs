@@ -1,56 +1,21 @@
-//! Execution backends: *where* and *under which noise model* a plan's
-//! branches run.
+//! Execution backends: *under which noise model* and *how widely* a
+//! plan's branches run.
 //!
-//! The [`Executor`](crate::Executor) layer decides scheduling (sequential
-//! vs. thread fan-out); a [`Backend`] decides physics. Today both
-//! backends evaluate branches on the in-process statevector/analytic
-//! simulator — [`SimBackend`] with the paper's per-term lightcone
-//! fidelity model, [`NoiseModelBackend`] with the cheaper global
-//! process-fidelity estimate — and the trait is the seam where a
-//! real-device backend plugs in later without touching job code.
+//! A [`BackendSpec`] picks the physics. Both backends evaluate branches
+//! on the in-process statevector/analytic simulator —
+//! [`BackendSpec::Sim`] with the paper's per-term lightcone fidelity
+//! model, [`BackendSpec::NoiseModel`] with the cheaper global
+//! process-fidelity estimate. [`BackendSpec::build`] pairs that choice
+//! with an [`ExecutorKind`] into a [`Backend`], plain data that runs or
+//! samples one plan. The batch engine calls the same per-branch
+//! functions directly, so the two paths cannot diverge.
 
 use fq_transpile::Device;
 
-use crate::executor::NoiseEval;
+use crate::executor::{execute_branch, par_collect, sample_branch};
 use crate::plan::ExecutionPlan;
+use crate::store::KeyedDevice;
 use crate::{BranchOutcome, BranchSamples, ExecutorKind, FqError, FrozenQubitsConfig};
-
-/// A branch-evaluation substrate consuming an [`ExecutionPlan`].
-///
-/// Implementations must be deterministic: two runs of the same plan with
-/// the same config produce identical outcomes, which is what makes batch
-/// results reproducible and cacheable.
-pub trait Backend: Send + Sync {
-    /// Human-readable backend name.
-    fn name(&self) -> &'static str;
-
-    /// Runs the analytic pipeline for every branch of `plan`, in branch
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first branch failure (by branch order).
-    fn run(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-    ) -> Result<Vec<BranchOutcome>, FqError>;
-
-    /// Runs the sampling pipeline for every branch of `plan`, in branch
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first branch failure (by branch order).
-    fn sample(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        shots: u64,
-    ) -> Result<Vec<BranchSamples>, FqError>;
-}
 
 /// A serializable backend choice for a [`JobSpec`](crate::api::JobSpec).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,147 +50,114 @@ impl BackendSpec {
         }
     }
 
-    /// Builds the backend, scheduling branches on `executor`.
+    /// Pairs this backend's physics with `executor`'s branch scheduling.
     #[must_use]
-    pub fn build(&self, executor: ExecutorKind) -> Box<dyn Backend> {
+    pub fn build(&self, executor: ExecutorKind) -> Backend {
+        Backend {
+            spec: *self,
+            executor,
+        }
+    }
+
+    /// Refuses a backend without sampling physics. The noise-model
+    /// backend's noise model is an expectation-value attenuation, not a
+    /// shot distribution, so sampling on it is an error rather than a
+    /// silent fall-back to the simulator's trajectories. This one check
+    /// backs both the spec refusal rule and every sampled branch, so a
+    /// spec smuggled past the builder fails with the same error. The
+    /// match is exhaustive on purpose: a new backend does not compile
+    /// until it states whether it can sample.
+    pub(crate) fn check_sampling(self) -> Result<(), FqError> {
         match self {
-            BackendSpec::Sim => Box::new(SimBackend::new(executor)),
-            BackendSpec::NoiseModel => Box::new(NoiseModelBackend::new(executor)),
+            BackendSpec::Sim => Ok(()),
+            BackendSpec::NoiseModel => Err(FqError::InvalidConfig(
+                "the noise_model backend models expectations, not shot distributions; \
+                 use the sim backend for sampling jobs"
+                    .into(),
+            )),
         }
     }
 }
 
-/// The statevector-simulator backend with the paper's lightcone noise
-/// model — bit-identical to the pre-API pipeline wrappers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimBackend {
+/// A [`BackendSpec`]'s physics scheduled on an [`ExecutorKind`]; built
+/// by [`BackendSpec::build`].
+///
+/// Deterministic: two runs of the same plan with the same config produce
+/// identical outcomes under every executor, which is what makes batch
+/// results reproducible and cacheable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Backend {
+    /// The physics: which noise estimator evaluates each branch.
+    spec: BackendSpec,
+    /// The scheduling: how many branches run at once.
     executor: ExecutorKind,
 }
 
-impl SimBackend {
-    /// A simulator backend scheduling branches on `executor`.
-    #[must_use]
-    pub fn new(executor: ExecutorKind) -> SimBackend {
-        SimBackend { executor }
-    }
-}
-
-impl Backend for SimBackend {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn run(
+impl Backend {
+    /// Runs the analytic pipeline for every branch of `plan` — parameter
+    /// optimization, ideal and modelled-noisy expectations, EPS and
+    /// circuit metrics (the last three from the template's shared noise
+    /// tables) — in branch order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first branch failure (by branch order).
+    pub fn run(
         &self,
         plan: &ExecutionPlan,
         device: &Device,
         config: &FrozenQubitsConfig,
     ) -> Result<Vec<BranchOutcome>, FqError> {
-        self.executor
-            .build()
-            .execute_with(plan, device, config, NoiseEval::Lightcone)
+        let n = plan.num_branches();
+        let device = KeyedDevice::new(device);
+        par_collect(self.executor.threads(n), n, |b| {
+            execute_branch(plan, b, device, config, self.spec)
+        })
+        .into_iter()
+        .collect()
     }
 
-    fn sample(
+    /// Runs the sampling pipeline for every branch of `plan` — parameter
+    /// optimization, template instantiation, Monte-Carlo noisy sampling
+    /// and decoding (including pruned-partner inference) — in branch
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first branch failure (by branch order); every
+    /// branch fails on a backend without sampling physics.
+    pub fn sample(
         &self,
         plan: &ExecutionPlan,
         device: &Device,
         config: &FrozenQubitsConfig,
         shots: u64,
     ) -> Result<Vec<BranchSamples>, FqError> {
-        self.executor.build().sample(plan, device, config, shots)
+        let n = plan.num_branches();
+        par_collect(self.executor.threads(n), n, |b| {
+            sample_branch(plan, b, device, config, self.spec, shots)
+        })
+        .into_iter()
+        .collect()
     }
-}
-
-/// The deterministic global process-fidelity backend: same ideal
-/// expectations as [`SimBackend`], but the modelled-hardware expectation
-/// uses one depolarizing-style attenuation per circuit instead of
-/// per-term lightcones.
-///
-/// This backend has **no sampling physics** — its noise model is an
-/// expectation-value attenuation, not a shot distribution — so
-/// [`Backend::sample`] is rejected rather than silently falling back to
-/// the simulator's trajectories ([`JobBuilder`](crate::api::JobBuilder)
-/// already refuses to build a sampling job on it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoiseModelBackend {
-    executor: ExecutorKind,
-}
-
-impl NoiseModelBackend {
-    /// A process-fidelity backend scheduling branches on `executor`.
-    #[must_use]
-    pub fn new(executor: ExecutorKind) -> NoiseModelBackend {
-        NoiseModelBackend { executor }
-    }
-}
-
-impl Backend for NoiseModelBackend {
-    fn name(&self) -> &'static str {
-        "noise_model"
-    }
-
-    fn run(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-    ) -> Result<Vec<BranchOutcome>, FqError> {
-        self.executor
-            .build()
-            .execute_with(plan, device, config, NoiseEval::ProcessFidelity)
-    }
-
-    fn sample(
-        &self,
-        _plan: &ExecutionPlan,
-        _device: &Device,
-        _config: &FrozenQubitsConfig,
-        _shots: u64,
-    ) -> Result<Vec<BranchSamples>, FqError> {
-        Err(noise_model_sampling_error())
-    }
-}
-
-/// The error every path rejecting sampling on [`NoiseModelBackend`]
-/// returns — the backend itself, and the batch engine's direct branch
-/// scheduling — so a smuggled spec fails identically everywhere.
-pub(crate) fn noise_model_sampling_error() -> FqError {
-    FqError::InvalidConfig(
-        "the noise_model backend models expectations, not shot distributions; \
-         use the sim backend for sampling jobs"
-            .into(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plan_execution, Executor as _};
+    use crate::plan_execution;
     use fq_graphs::{gen, to_ising_pm1};
 
     #[test]
     fn backend_specs_round_trip_names() {
         for spec in [BackendSpec::Sim, BackendSpec::NoiseModel] {
             assert_eq!(BackendSpec::from_name(spec.name()), Some(spec));
-            assert_eq!(spec.build(ExecutorKind::Sequential).name(), spec.name());
+            assert_eq!(
+                spec.build(ExecutorKind::Sequential).spec.name(),
+                spec.name()
+            );
         }
         assert_eq!(BackendSpec::from_name("qpu"), None);
-    }
-
-    #[test]
-    fn sim_backend_matches_the_executor_path() {
-        let model = to_ising_pm1(&gen::barabasi_albert(10, 1, 6).unwrap(), 6);
-        let device = Device::ibm_montreal();
-        let config = FrozenQubitsConfig::with_frozen(2);
-        let plan = plan_execution(&model, &device, &config).unwrap();
-        let via_backend = SimBackend::new(ExecutorKind::Sequential)
-            .run(&plan, &device, &config)
-            .unwrap();
-        let via_executor = crate::SequentialExecutor
-            .execute(&plan, &device, &config)
-            .unwrap();
-        assert_eq!(via_backend, via_executor);
     }
 
     #[test]
@@ -234,7 +166,8 @@ mod tests {
         let device = Device::ibm_montreal();
         let config = FrozenQubitsConfig::default();
         let plan = plan_execution(&model, &device, &config).unwrap();
-        let out = NoiseModelBackend::new(ExecutorKind::Sequential)
+        let out = BackendSpec::NoiseModel
+            .build(ExecutorKind::Sequential)
             .run(&plan, &device, &config)
             .unwrap();
         for o in &out {

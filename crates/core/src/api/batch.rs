@@ -8,11 +8,11 @@ use fq_ising::IsingModel;
 use fq_transpile::Device;
 
 use super::wire::problem_to_value;
-use super::{noise_model_sampling_error, Job, JobUnit, UnitOutput, UnitRole};
-use crate::executor::{auto_threads, execute_branch, par_collect, sample_branch};
+use super::{Job, JobUnit, UnitOutput, UnitRole};
+use crate::executor::{execute_branch, par_collect, sample_branch};
 use crate::plan::{plan_execution_cached, CacheStats, ExecutionPlan, TemplateCache};
 use crate::store::{DiskStore, KeyedDevice, MemoryStore, TemplateStore, TieredStore};
-use crate::{BranchOutcome, BranchSamples, FqError, JobResult, JobSpec};
+use crate::{BranchOutcome, BranchSamples, ExecutorKind, FqError, JobResult, JobSpec};
 
 /// Runs many [`JobSpec`]s against one shared [`TemplateCache`],
 /// saturating the machine across **jobs × branches**.
@@ -189,16 +189,6 @@ impl BatchRunner {
         &self.cache
     }
 
-    /// The effective worker count for `items` work items.
-    fn effective_threads(&self, items: usize) -> usize {
-        let t = if self.threads == 0 {
-            auto_threads()
-        } else {
-            self.threads
-        };
-        t.min(items).max(1)
-    }
-
     /// Runs every spec, sharing compiled templates across jobs and
     /// fanning **all** branches of **all** jobs out over one
     /// work-stealing pool. Each job gets its own `Result`; order matches
@@ -233,7 +223,7 @@ impl BatchRunner {
         // concurrent cache. The per-key once-compile slots guarantee each
         // distinct template is compiled exactly once even when many units
         // race for it; distinct templates compile concurrently.
-        let threads = self.effective_threads(pending.len());
+        let threads = ExecutorKind::Threads(self.threads).threads(pending.len());
         let plans: Vec<Result<Arc<ExecutionPlan>, FqError>> =
             par_collect(threads, pending.len(), |u| {
                 let (job_index, unit) = &pending[u];
@@ -243,19 +233,11 @@ impl BatchRunner {
                 self.plan_unit(keys[*job_index].as_deref(), job, unit)
             });
 
-        // Flatten planned units into the jobs×branches item space. A
-        // sampling unit on a backend without sampling physics plans (the
-        // sequential path compiles before rejecting too) but contributes
-        // no branch items — it fails at assembly instead.
+        // Flatten planned units into the jobs×branches item space.
         let mut units: Vec<PlannedUnit> = Vec::with_capacity(pending.len());
         let mut total_items = 0usize;
         for ((job_index, unit), plan) in pending.into_iter().zip(plans) {
-            let runnable = plan.is_ok() && !self.unit_rejected(&jobs[job_index], &unit);
-            let items = if runnable {
-                plan.as_ref().map_or(0, |p| p.num_branches())
-            } else {
-                0
-            };
+            let items = plan.as_ref().map_or(0, |p| p.num_branches());
             units.push(PlannedUnit {
                 job: job_index,
                 unit,
@@ -273,7 +255,7 @@ impl BatchRunner {
             .iter()
             .map(|job| job.as_ref().ok().map(|job| KeyedDevice::new(&job.device)))
             .collect();
-        let threads = self.effective_threads(total_items);
+        let threads = ExecutorKind::Threads(self.threads).threads(total_items);
         let branch_results: Vec<Result<BranchResult, FqError>> =
             par_collect(threads, total_items, |item| {
                 // Map the flat index back to (unit, branch).
@@ -288,13 +270,18 @@ impl BatchRunner {
                         branch,
                         devices[pu.job].expect("runnable units have jobs"),
                         &pu.unit.config,
-                        job.branch_noise(),
+                        job.backend,
                     )
                     .map(BranchResult::Outcome),
-                    UnitRole::Sample { shots } => {
-                        sample_branch(plan, branch, &job.device, &pu.unit.config, shots)
-                            .map(BranchResult::Samples)
-                    }
+                    UnitRole::Sample { shots } => sample_branch(
+                        plan,
+                        branch,
+                        &job.device,
+                        &pu.unit.config,
+                        job.backend,
+                        shots,
+                    )
+                    .map(BranchResult::Samples),
                 }
             });
 
@@ -318,7 +305,7 @@ impl BatchRunner {
             if results[pu.job].is_err() {
                 continue; // an earlier unit of this job already failed
             }
-            match self.collect_unit(&jobs[pu.job], pu.unit, pu.plan, outputs) {
+            match collect_unit(pu.unit, pu.plan, outputs) {
                 Ok(part) => parts[pu.job].push(part),
                 Err(e) => results[pu.job] = Err(e),
             }
@@ -432,53 +419,6 @@ impl BatchRunner {
         Ok(plan)
     }
 
-    /// Whether `unit` is rejected before branch execution (sampling on a
-    /// backend without sampling physics — the exhaustive dispatch lives
-    /// in [`Job::sampling_supported`]).
-    fn unit_rejected(&self, job: &Result<Job, FqError>, unit: &JobUnit) -> bool {
-        matches!(unit.role, UnitRole::Sample { .. })
-            && job.as_ref().is_ok_and(|j| !j.sampling_supported())
-    }
-
-    /// Turns one unit's branch results into an assembly part, surfacing
-    /// the unit's planning error, backend rejection, or first branch
-    /// error (by index).
-    fn collect_unit(
-        &self,
-        job: &Result<Job, FqError>,
-        unit: JobUnit,
-        plan: Result<Arc<ExecutionPlan>, FqError>,
-        outputs: Vec<Result<BranchResult, FqError>>,
-    ) -> Result<(Arc<ExecutionPlan>, UnitOutput), FqError> {
-        let plan = plan?;
-        if self.unit_rejected(job, &unit) {
-            return Err(noise_model_sampling_error());
-        }
-        let output = match unit.role {
-            UnitRole::Baseline | UnitRole::Frozen => {
-                let mut outcomes = Vec::with_capacity(outputs.len());
-                for r in outputs {
-                    match r? {
-                        BranchResult::Outcome(o) => outcomes.push(o),
-                        BranchResult::Samples(_) => unreachable!("analytic unit"),
-                    }
-                }
-                UnitOutput::Analytic(outcomes)
-            }
-            UnitRole::Sample { .. } => {
-                let mut samples = Vec::with_capacity(outputs.len());
-                for r in outputs {
-                    match r? {
-                        BranchResult::Samples(s) => samples.push(s),
-                        BranchResult::Outcome(_) => unreachable!("sampling unit"),
-                    }
-                }
-                UnitOutput::Samples(samples)
-            }
-        };
-        Ok((plan, output))
-    }
-
     /// Runs every spec, then returns the first error in input order (the
     /// whole batch still executes — jobs are independent).
     ///
@@ -503,6 +443,39 @@ impl BatchRunner {
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
+}
+
+/// Turns one unit's branch results into an assembly part, surfacing
+/// the unit's planning error or its first branch error (by index).
+fn collect_unit(
+    unit: JobUnit,
+    plan: Result<Arc<ExecutionPlan>, FqError>,
+    outputs: Vec<Result<BranchResult, FqError>>,
+) -> Result<(Arc<ExecutionPlan>, UnitOutput), FqError> {
+    let plan = plan?;
+    let output = match unit.role {
+        UnitRole::Baseline | UnitRole::Frozen => {
+            let mut outcomes = Vec::with_capacity(outputs.len());
+            for r in outputs {
+                match r? {
+                    BranchResult::Outcome(o) => outcomes.push(o),
+                    BranchResult::Samples(_) => unreachable!("analytic unit"),
+                }
+            }
+            UnitOutput::Analytic(outcomes)
+        }
+        UnitRole::Sample { .. } => {
+            let mut samples = Vec::with_capacity(outputs.len());
+            for r in outputs {
+                match r? {
+                    BranchResult::Samples(s) => samples.push(s),
+                    BranchResult::Outcome(_) => unreachable!("sampling unit"),
+                }
+            }
+            UnitOutput::Samples(samples)
+        }
+    };
+    Ok((plan, output))
 }
 
 #[cfg(test)]

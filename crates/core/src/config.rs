@@ -3,7 +3,7 @@
 use fq_transpile::CompileOptions;
 use serde::{Deserialize, Serialize};
 
-use crate::{Executor, ExecutorKind, HotspotStrategy};
+use crate::{ExecutorKind, HotspotStrategy};
 
 /// The per-job accuracy/speed contract.
 ///
@@ -119,16 +119,6 @@ impl FrozenQubitsConfig {
             num_frozen: m,
             ..FrozenQubitsConfig::default()
         }
-    }
-
-    /// Builds the branch-*scheduling* executor this configuration
-    /// selects. The execution substrate (simulator, noise model, a
-    /// future real device) is the separate per-job
-    /// [`BackendSpec`](crate::api::BackendSpec) choice, which wraps this
-    /// executor.
-    #[must_use]
-    pub fn build_executor(&self) -> Box<dyn Executor + Send + Sync> {
-        self.executor.build()
     }
 }
 

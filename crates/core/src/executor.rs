@@ -1,17 +1,18 @@
 //! Phase 2 of the plan/execute pipeline: running an
-//! [`ExecutionPlan`]'s branches through an [`Executor`] backend.
+//! [`ExecutionPlan`]'s branches.
 //!
 //! Every branch is an independent job — optimize its `(γ, β)`, then either
 //! evaluate the ideal/noisy expectations against the noise tables its
 //! template memoizes for all siblings, or angle-edit the template into the
 //! branch's executable (no recompilation) and sample the noisy device.
-//! Branch jobs never communicate, so they parallelize
-//! embarrassingly: [`ParallelExecutor`] fans them out across worker
-//! threads (scoped `std::thread` — the offline toolchain has no rayon,
-//! but the work-stealing loop below serves the same role), while
-//! [`SequentialExecutor`] runs them in order on the caller's thread.
-//! Both produce **bit-identical** outcomes: each branch's arithmetic is
-//! self-contained and results are aggregated in branch order.
+//! A branch makes two run-time choices, both plain data: its
+//! [`BackendSpec`] picks the noise estimator, and an [`ExecutorKind`]
+//! picks how many branches run at once. Branch jobs never communicate,
+//! so they parallelize embarrassingly: [`par_collect`] fans them out
+//! across scoped worker threads (the offline toolchain has no rayon,
+//! but the work-stealing loop below serves the same role), and every
+//! width produces **bit-identical** outcomes: each branch's arithmetic
+//! is self-contained and results are aggregated in branch order.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,7 +25,7 @@ use fq_sim::{
 };
 use fq_transpile::Device;
 
-use crate::api::ErrorModel;
+use crate::api::{BackendSpec, ErrorModel};
 use crate::pipeline::{optimize_layers, polish_parameters_tiered, CircuitMetrics};
 use crate::plan::ExecutionPlan;
 use crate::store::KeyedDevice;
@@ -67,83 +68,12 @@ pub struct BranchSamples {
     pub partner_decoded: Option<OutputDistribution>,
 }
 
-/// Which deterministic noise model [`Executor::execute_with`] evaluates
-/// the modelled-hardware expectation under.
-///
-/// Both models are closed-form and deterministic; they differ in
-/// granularity, and a [`Backend`](crate::api::Backend) picks one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-#[non_exhaustive]
-pub enum NoiseEval {
-    /// Per-term lightcone fidelity attenuation (the paper's model; the
-    /// default used by the analytic pipeline since PR 1).
-    #[default]
-    Lightcone,
-    /// A single global process-fidelity attenuation per circuit — coarser
-    /// but cheaper, the classic depolarizing-channel estimate.
-    ProcessFidelity,
-}
-
-/// A branch-execution backend consuming an [`ExecutionPlan`].
-///
-/// Implementations decide *scheduling* only; the per-branch math is shared
-/// and deterministic, so any two executors return identical results in
-/// identical order.
-pub trait Executor {
-    /// Human-readable backend name.
-    fn name(&self) -> &'static str;
-
-    /// Runs the analytic pipeline for every branch under an explicit
-    /// noise model: parameter optimization, ideal + modelled-noisy
-    /// expectations, EPS and circuit metrics (the last three from the
-    /// template's shared noise tables).
-    /// Outcomes are in branch order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first branch failure (by branch order).
-    fn execute_with(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        noise: NoiseEval,
-    ) -> Result<Vec<BranchOutcome>, FqError>;
-
-    /// Runs the analytic pipeline under the default
-    /// [`NoiseEval::Lightcone`] model (the paper's methodology).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first branch failure (by branch order).
-    fn execute(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-    ) -> Result<Vec<BranchOutcome>, FqError> {
-        self.execute_with(plan, device, config, NoiseEval::Lightcone)
-    }
-
-    /// Runs the sampling pipeline for every branch: parameter
-    /// optimization, template instantiation, Monte-Carlo noisy sampling
-    /// and decoding (including pruned-partner inference). Results are in
-    /// branch order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first branch failure (by branch order).
-    fn sample(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        shots: u64,
-    ) -> Result<Vec<BranchSamples>, FqError>;
-}
-
-/// Which [`Executor`] backend a job's branches run on
+/// How many of a job's branches run at once
 /// ([`FrozenQubitsConfig::executor`]).
+///
+/// Scheduling only: every kind produces bit-identical outcomes in branch
+/// order. The physics is the job's separate
+/// [`BackendSpec`](crate::api::BackendSpec).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ExecutorKind {
     /// Run branches in order on the caller's thread.
@@ -154,85 +84,24 @@ pub enum ExecutorKind {
     /// identical to sequential, only faster.
     #[default]
     Parallel,
-    /// Fan branches out across a fixed number of worker threads
-    /// (ignores `FQ_THREADS`).
+    /// Fan branches out across a fixed number of worker threads, which
+    /// ignores `FQ_THREADS`. `Threads(0)` is automatic: the same width
+    /// as [`ExecutorKind::Parallel`].
     Threads(usize),
 }
 
 impl ExecutorKind {
-    /// Builds the backend this kind describes.
-    #[must_use]
-    pub fn build(self) -> Box<dyn Executor + Send + Sync> {
-        match self {
-            ExecutorKind::Sequential => Box::new(SequentialExecutor),
-            ExecutorKind::Parallel => Box::new(ParallelExecutor::default()),
-            ExecutorKind::Threads(t) => Box::new(ParallelExecutor::new(t)),
-        }
-    }
-}
-
-/// Runs branches one after another on the caller's thread.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SequentialExecutor;
-
-impl Executor for SequentialExecutor {
-    fn name(&self) -> &'static str {
-        "sequential"
-    }
-
-    fn execute_with(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        noise: NoiseEval,
-    ) -> Result<Vec<BranchOutcome>, FqError> {
-        let device = KeyedDevice::new(device);
-        (0..plan.num_branches())
-            .map(|b| execute_branch(plan, b, device, config, noise))
-            .collect()
-    }
-
-    fn sample(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        shots: u64,
-    ) -> Result<Vec<BranchSamples>, FqError> {
-        (0..plan.num_branches())
-            .map(|b| sample_branch(plan, b, device, config, shots))
-            .collect()
-    }
-}
-
-/// Fans branches out across worker threads.
-///
-/// Workers claim branch indices from a shared atomic counter (simple
-/// work stealing), so load imbalance between branches — e.g. differing
-/// parameter-optimization convergence — does not serialize the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParallelExecutor {
-    /// Worker count; 0 means one per available core.
-    pub threads: usize,
-}
-
-impl ParallelExecutor {
-    /// An executor using `threads` workers (0 = auto: the `FQ_THREADS`
-    /// environment override if set and valid, else one per available
-    /// core).
-    #[must_use]
-    pub fn new(threads: usize) -> ParallelExecutor {
-        ParallelExecutor { threads }
-    }
-
-    fn effective_threads(&self, jobs: usize) -> usize {
-        let t = if self.threads == 0 {
-            auto_threads()
-        } else {
-            self.threads
+    /// The worker count of a pool draining `items` work items — the one
+    /// thread rule behind every branch pool: the kind's width, clamped
+    /// to the item count so an oversized width never spawns idle
+    /// threads, and never below one.
+    pub(crate) fn threads(self, items: usize) -> usize {
+        let width = match self {
+            ExecutorKind::Sequential => 1,
+            ExecutorKind::Parallel | ExecutorKind::Threads(0) => auto_threads(),
+            ExecutorKind::Threads(t) => t,
         };
-        t.min(jobs).max(1)
+        width.min(items).max(1)
     }
 }
 
@@ -256,60 +125,10 @@ pub fn auto_threads() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
-impl Executor for ParallelExecutor {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn execute_with(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        noise: NoiseEval,
-    ) -> Result<Vec<BranchOutcome>, FqError> {
-        let n = plan.num_branches();
-        let device = KeyedDevice::new(device);
-        par_map(self.effective_threads(n), n, |b| {
-            execute_branch(plan, b, device, config, noise)
-        })
-    }
-
-    fn sample(
-        &self,
-        plan: &ExecutionPlan,
-        device: &Device,
-        config: &FrozenQubitsConfig,
-        shots: u64,
-    ) -> Result<Vec<BranchSamples>, FqError> {
-        let n = plan.num_branches();
-        par_map(self.effective_threads(n), n, |b| {
-            sample_branch(plan, b, device, config, shots)
-        })
-    }
-}
-
-/// Maps `job` over `0..n` on `threads` scoped workers, preserving index
-/// order in the output. The first error (by index) wins, matching the
-/// sequential executor's error behaviour.
-fn par_map<T: Send>(
-    threads: usize,
-    n: usize,
-    job: impl Fn(usize) -> Result<T, FqError> + Sync,
-) -> Result<Vec<T>, FqError> {
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(job).collect();
-    }
-    let mut out = Vec::with_capacity(n);
-    for result in par_collect(threads, n, job) {
-        out.push(result?);
-    }
-    Ok(out)
-}
-
 /// Runs `job` over `0..n` on `threads` scoped workers and returns all
-/// results in index order — the work-stealing primitive under both
-/// [`par_map`] and the batch engine's jobs×branches pool.
+/// results in index order — the work-stealing primitive under
+/// [`Backend`]'s branch fan-out and the batch engine's jobs×branches
+/// pool.
 ///
 /// Workers claim indices from one shared atomic counter, so a slow item
 /// never serializes its successors; each result lands in a single
@@ -401,14 +220,15 @@ mod disjoint {
 }
 
 /// The shared per-branch analytic job: optimize, evaluate against the
-/// template's noise tables. (`pub(crate)`: the batch engine drives branches
-/// directly through its flattened jobs×branches pool.)
+/// template's noise tables under `backend`'s estimator. (`pub(crate)`:
+/// the batch engine drives branches directly through its flattened
+/// jobs×branches pool.)
 pub(crate) fn execute_branch(
     plan: &ExecutionPlan,
     branch: usize,
     device: KeyedDevice<'_>,
     config: &FrozenQubitsConfig,
-    noise: NoiseEval,
+    backend: BackendSpec,
 ) -> Result<BranchOutcome, FqError> {
     let exec = plan.branch(branch);
     let model = exec.problem.model();
@@ -449,10 +269,10 @@ pub(crate) fn execute_branch(
     // every cone in full; the approximate tiers truncate at their
     // contract's depth; the process-fidelity model reads no cone, so it
     // asks for the depth-0 tables, whose cones cost one prefix pass.
-    let depth = match (noise, em.as_ref()) {
-        (NoiseEval::ProcessFidelity, _) => 0,
-        (NoiseEval::Lightcone, None) => usize::MAX,
-        (NoiseEval::Lightcone, Some(em)) => em.lightcone_depth,
+    let depth = match (backend, em.as_ref()) {
+        (BackendSpec::NoiseModel, _) => 0,
+        (BackendSpec::Sim, None) => usize::MAX,
+        (BackendSpec::Sim, Some(em)) => em.lightcone_depth,
     };
     let tables = plan
         .template_for(branch)
@@ -473,11 +293,11 @@ pub(crate) fn execute_branch(
         let ev = ising_expectation_from_terms(model, &z, &zz)?;
         (ev, z, zz)
     };
-    let ev_noisy = match noise {
-        NoiseEval::Lightcone => {
+    let ev_noisy = match backend {
+        BackendSpec::Sim => {
             noisy_expectation_from_lightcone(model, &z, &zz, &tables.fid, &tables.cones)?
         }
-        NoiseEval::ProcessFidelity => noisy_expectation_from_terms(model, &z, &zz, &tables.fid)?,
+        BackendSpec::NoiseModel => noisy_expectation_from_terms(model, &z, &zz, &tables.fid)?,
     };
     Ok(BranchOutcome {
         branch,
@@ -494,14 +314,17 @@ pub(crate) fn execute_branch(
 }
 
 /// The shared per-branch sampling job: optimize, instantiate, sample,
-/// decode (with pruned-partner inference).
+/// decode (with pruned-partner inference). A backend without sampling
+/// physics is refused before any work.
 pub(crate) fn sample_branch(
     plan: &ExecutionPlan,
     branch: usize,
     device: &Device,
     config: &FrozenQubitsConfig,
+    backend: BackendSpec,
     shots: u64,
 ) -> Result<BranchSamples, FqError> {
+    backend.check_sampling()?;
     let exec = plan.branch(branch);
     let model = exec.problem.model();
     let (gammas, betas) =
@@ -557,27 +380,31 @@ mod tests {
         let cfg = FrozenQubitsConfig::with_frozen(3);
         let device = Device::ibm_montreal();
         let plan = plan_execution(&model, &device, &cfg).unwrap();
-        let seq = SequentialExecutor.execute(&plan, &device, &cfg).unwrap();
-        let par = ParallelExecutor::new(0)
-            .execute(&plan, &device, &cfg)
-            .unwrap();
+        let run = |kind| BackendSpec::Sim.build(kind).run(&plan, &device, &cfg);
+        let seq = run(ExecutorKind::Sequential).unwrap();
+        let par = run(ExecutorKind::Parallel).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 4);
         assert!(seq.iter().enumerate().all(|(i, o)| o.branch == i));
     }
 
+    // `Backend::run`'s path: collect every branch's result, then the
+    // first error by index wins.
     #[test]
     fn par_map_preserves_order_and_first_error() {
-        let ok: Result<Vec<usize>, _> = par_map(4, 32, |i| Ok(i * i));
+        let ok: Result<Vec<usize>, FqError> =
+            par_collect(4, 32, |i| Ok(i * i)).into_iter().collect();
         assert_eq!(ok.unwrap(), (0..32).map(|i| i * i).collect::<Vec<_>>());
 
-        let err = par_map(4, 8, |i| {
+        let err: Result<Vec<usize>, FqError> = par_collect(4, 8, |i| {
             if i >= 3 {
                 Err(FqError::InvalidConfig(format!("branch {i}")))
             } else {
                 Ok(i)
             }
-        });
+        })
+        .into_iter()
+        .collect();
         match err {
             Err(FqError::InvalidConfig(msg)) => assert_eq!(msg, "branch 3"),
             other => panic!("expected first error by index, got {other:?}"),
@@ -585,14 +412,19 @@ mod tests {
     }
 
     #[test]
-    fn executor_names_and_thread_clamping() {
-        assert_eq!(SequentialExecutor.name(), "sequential");
-        assert_eq!(ParallelExecutor::default().name(), "parallel");
-        assert_eq!(ParallelExecutor::new(7).effective_threads(2), 2);
-        assert_eq!(ParallelExecutor::new(2).effective_threads(16), 2);
-        assert!(ParallelExecutor::new(0).effective_threads(64) >= 1);
-        // An explicit thread count always wins over the env override.
-        assert!(auto_threads() >= 1);
+    fn one_thread_rule_sizes_every_pool() {
+        assert_eq!(ExecutorKind::Sequential.threads(16), 1);
+        assert_eq!(ExecutorKind::Threads(7).threads(2), 2);
+        assert_eq!(ExecutorKind::Threads(2).threads(16), 2);
+        assert_eq!(ExecutorKind::Threads(3).threads(0), 1);
+        assert_eq!(ExecutorKind::Parallel.threads(64), auto_threads().min(64));
+        // `Threads(0)` is automatic: the same width as `Parallel`.
+        for items in [0, 1, 2, 64] {
+            assert_eq!(
+                ExecutorKind::Threads(0).threads(items),
+                ExecutorKind::Parallel.threads(items)
+            );
+        }
     }
 
     #[test]
@@ -619,14 +451,9 @@ mod tests {
             };
             let plan = plan_execution(&parent, &device, &cfg).unwrap();
             for b in 0..plan.num_branches() {
-                let out = execute_branch(
-                    &plan,
-                    b,
-                    KeyedDevice::new(&device),
-                    &cfg,
-                    NoiseEval::Lightcone,
-                )
-                .unwrap();
+                let out =
+                    execute_branch(&plan, b, KeyedDevice::new(&device), &cfg, BackendSpec::Sim)
+                        .unwrap();
                 let model = plan.branch(b).problem.model();
                 let old_ev = if p == 1 {
                     expectation_p1(model, out.gammas[0], out.betas[0]).unwrap()
@@ -649,12 +476,13 @@ mod tests {
         let cfg = FrozenQubitsConfig::default();
         let device = Device::ibm_montreal();
         let plan = plan_execution(&model, &device, &cfg).unwrap();
-        let seq = SequentialExecutor
-            .sample(&plan, &device, &cfg, 256)
-            .unwrap();
-        let par = ParallelExecutor::new(0)
-            .sample(&plan, &device, &cfg, 256)
-            .unwrap();
+        let sample = |kind| {
+            BackendSpec::Sim
+                .build(kind)
+                .sample(&plan, &device, &cfg, 256)
+        };
+        let seq = sample(ExecutorKind::Sequential).unwrap();
+        let par = sample(ExecutorKind::Parallel).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 1, "m=1 pruned executes one branch");
         assert!(seq[0].partner_decoded.is_some());

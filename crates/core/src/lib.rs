@@ -17,17 +17,18 @@
 //! Execution follows a two-phase **plan/execute** architecture:
 //! [`plan_execution`] freezes the hotspots, partitions the state space and
 //! compiles **one** [`CompiledTemplate`] per distinct sub-circuit shape
-//! (usually exactly one), and an [`Executor`] — sequential, or parallel
-//! across all cores — runs every branch on the shared template: analytic
-//! branches read its memoized noise tables, sampling branches angle-edit
-//! it. The public front door over that core is the **job
-//! API** in [`api`]:
+//! (usually exactly one), then every branch runs on the shared template —
+//! sequentially, or in parallel across all cores, as the
+//! [`ExecutorKind`] says: analytic branches read its memoized noise
+//! tables, sampling branches angle-edit it. The public front door over
+//! that core is the **job API** in [`api`]:
 //!
 //! * [`api::JobBuilder`] → [`api::JobSpec`] → [`api::JobResult`] — typed
 //!   job descriptions, validated when built and when parsed, with a
 //!   pinned JSON wire form;
-//! * [`api::Backend`] ([`api::SimBackend`], [`api::NoiseModelBackend`]) —
-//!   the execution substrate, chosen per job instead of assumed;
+//! * [`api::BackendSpec`] — the noise model (the paper's lightcone model
+//!   or a global process-fidelity estimate), chosen per job instead of
+//!   assumed;
 //! * [`api::BatchRunner`] — many jobs, one [`TemplateCache`]: compile
 //!   each distinct sub-circuit shape once per batch (cross-job §3.7.1);
 //! * [`select_hotspots`] — which qubits to freeze (§3.5);
@@ -36,8 +37,9 @@
 //! * [`CompiledTemplate`] — compile-once/edit-many executables (§3.7.1);
 //! * [`plan_execution`] / [`ExecutionPlan`] — phase 1: partition + shared
 //!   templates;
-//! * [`Executor`] / [`SequentialExecutor`] / [`ParallelExecutor`] — phase
-//!   2: branch fan-out, bit-identical across backends;
+//! * [`api::Backend`] — phase 2: a [`api::BackendSpec`] built with an
+//!   [`ExecutorKind`] runs one plan's branches, bit-identical at every
+//!   thread count;
 //! * [`metrics`] — ARG (Eq. 4), AR (Eq. 5), improvement factors, GMEAN;
 //! * [`runtime`] — the end-to-end runtime model of Eq. 6.
 //!
@@ -86,16 +88,13 @@ mod template;
 
 pub use api::{
     Backend, BackendSpec, BatchRunner, DeviceSpec, ErrorModel, GraphWeighting, Job, JobBuilder,
-    JobId, JobKind, JobResult, JobSpec, NoiseModelBackend, ProblemSpec, SimBackend,
+    JobId, JobKind, JobResult, JobSpec, ProblemSpec,
 };
 pub use config::{FrozenQubitsConfig, QosTier};
 pub use error::FqError;
-pub use executor::{
-    auto_threads, BranchOutcome, BranchSamples, Executor, ExecutorKind, NoiseEval,
-    ParallelExecutor, SequentialExecutor,
-};
+pub use executor::{auto_threads, BranchOutcome, BranchSamples, ExecutorKind};
 pub use hotspot::{edges_eliminated, select_hotspots, HotspotStrategy};
-pub use partition::{partition_problem, Partition, SubproblemExec};
+pub use partition::{partition_problem, Partition, SubproblemExec, MAX_FROZEN_QUBITS};
 pub use pipeline::{optimize_parameters_prepared, CircuitMetrics, Report, RunSummary};
 pub use plan::{
     plan_execution, plan_execution_cached, CacheStats, ExecutionPlan, ShapeSignature, TemplateCache,

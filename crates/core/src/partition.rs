@@ -48,6 +48,25 @@ impl Partition {
     }
 }
 
+/// The most qubits one job may freeze. Freezing `m` qubits enumerates
+/// `2^m` sub-spaces as `u64` branch masks, so `m` must stay far below the
+/// mask width: the cap allows at most `2^16` sub-spaces (`2^15` executed
+/// branches under symmetry pruning). The paper's scaling study freezes at
+/// most 10.
+pub const MAX_FROZEN_QUBITS: usize = 16;
+
+/// Refuses a freeze count above [`MAX_FROZEN_QUBITS`]: the one error both
+/// the spec refusal rules and [`partition_problem`] answer with.
+pub(crate) fn check_frozen_count(m: usize) -> Result<(), FqError> {
+    if m > MAX_FROZEN_QUBITS {
+        return Err(FqError::InvalidConfig(format!(
+            "freezing {m} qubits would enumerate 2^{m} sub-problems; \
+             at most {MAX_FROZEN_QUBITS} qubits may be frozen"
+        )));
+    }
+    Ok(())
+}
+
 /// Builds the execution plan for freezing `qubits` of `model`.
 ///
 /// When the parent model is spin-flip symmetric (all `h_i = 0`, §3.7.2) and
@@ -57,7 +76,9 @@ impl Partition {
 ///
 /// # Errors
 ///
-/// Propagates freezing errors (bad indices, duplicates).
+/// Returns [`FqError::InvalidConfig`] for more than
+/// [`MAX_FROZEN_QUBITS`] qubits, before enumerating any branch, and
+/// propagates freezing errors (bad indices, duplicates).
 ///
 /// # Example
 ///
@@ -82,6 +103,7 @@ pub fn partition_problem(
     prune: bool,
 ) -> Result<Partition, FqError> {
     let m = qubits.len();
+    check_frozen_count(m)?;
     let symmetric = model.has_zero_linear_terms();
     let use_pruning = prune && symmetric && m >= 1;
 
@@ -175,6 +197,24 @@ mod tests {
             }
         }
         assert_eq!(covered.len(), 4);
+    }
+
+    #[test]
+    fn freeze_counts_above_the_cap_are_refused_before_enumerating() {
+        // At m = 64 an unchecked `1 << m` overflows the mask width.
+        let wide = IsingModel::new(64);
+        let qubits: Vec<usize> = (0..64).collect();
+        for prune in [true, false] {
+            assert!(matches!(
+                partition_problem(&wide, &qubits, prune),
+                Err(FqError::InvalidConfig(msg)) if msg.contains("at most 16 qubits")
+            ));
+        }
+        // The cap itself still enumerates: 2^15 branches under pruning.
+        let at_cap = IsingModel::new(MAX_FROZEN_QUBITS);
+        let qubits: Vec<usize> = (0..MAX_FROZEN_QUBITS).collect();
+        let plan = partition_problem(&at_cap, &qubits, true).unwrap();
+        assert_eq!(plan.quantum_cost(), 1 << (MAX_FROZEN_QUBITS - 1));
     }
 
     #[test]

@@ -456,8 +456,7 @@ pub(crate) fn summarize_outcomes(
 mod tests {
     use super::*;
     use crate::api::{Job, JobKind, JobResult};
-    use crate::executor::{Executor, SequentialExecutor};
-    use crate::{plan_execution, FrozenQubitsConfig};
+    use crate::{plan_execution, BackendSpec, ExecutorKind, FrozenQubitsConfig};
     use fq_graphs::{gen, to_ising_pm1};
     use fq_sim::analytic::expectation_p1;
     use fq_transpile::Device;
@@ -548,7 +547,10 @@ mod tests {
                 ..FrozenQubitsConfig::with_frozen(0)
             };
             let plan = plan_execution(&m, &device, &cfg).unwrap();
-            let mut outcomes = SequentialExecutor.execute(&plan, &device, &cfg).unwrap();
+            let mut outcomes = BackendSpec::Sim
+                .build(ExecutorKind::Sequential)
+                .run(&plan, &device, &cfg)
+                .unwrap();
             assert_eq!(outcomes.len(), 1);
             outcomes.remove(0)
         };

@@ -6,8 +6,8 @@
 //! (§3.3): planning exploits that by compiling **one**
 //! [`CompiledTemplate`] per distinct sub-circuit shape — in the common
 //! case exactly one for the whole plan — instead of one compile per
-//! branch. Phase 2 (an [`Executor`](crate::Executor)) then runs each
-//! branch on the shared template — reading its memoized noise tables, or
+//! branch. Phase 2 (a [`Backend`](crate::Backend), or the batch engine's
+//! pool) then runs each branch on the shared template — reading its memoized noise tables, or
 //! angle-editing it when the branch samples — so the quantum compile cost
 //! of the `m` knob is `O(1)` rather than `O(2^m)` and branch execution can
 //! fan out across cores.
@@ -73,7 +73,7 @@ impl ShapeSignature {
 }
 
 /// A fully planned execution: the partition into sub-problems plus the
-/// shared compiled templates, ready for an [`Executor`](crate::Executor).
+/// shared compiled templates, ready for a [`Backend`](crate::Backend).
 ///
 /// Build one with [`plan_execution`].
 #[derive(Clone, Debug)]

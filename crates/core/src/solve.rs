@@ -5,8 +5,9 @@
 //!
 //! A [`JobKind::Sample`](crate::api::JobKind::Sample) job runs this over
 //! the plan/execute core: one shared compiled template per sub-circuit
-//! shape, branches sampled through the configured
-//! [`Executor`](crate::Executor). This module holds its result.
+//! shape, branches sampled on as many threads as the configured
+//! [`ExecutorKind`](crate::ExecutorKind) allows. This module holds its
+//! result.
 
 use fq_ising::{OutputDistribution, SpinVec};
 use serde::{Deserialize, Serialize};

@@ -28,8 +28,8 @@ use crate::api::ErrorModel;
 use crate::pipeline::{metrics_of, CircuitMetrics};
 use crate::store::KeyedDevice;
 use crate::{
-    plan_execution, plan_execution_cached, Executor, FqError, FrozenQubitsConfig,
-    SequentialExecutor, ShapeSignature, TemplateArtifact, TemplateCache, TemplateKey,
+    plan_execution, plan_execution_cached, BackendSpec, ExecutorKind, FqError, FrozenQubitsConfig,
+    ShapeSignature, TemplateArtifact, TemplateCache, TemplateKey,
 };
 
 const CASES: u64 = 24;
@@ -191,8 +191,9 @@ fn missing_gamma_term_fails_the_exact_path_like_edit_for() {
             "{expected:?}"
         );
         for _ in 0..2 {
-            let got = SequentialExecutor
-                .execute(&plan, &case.device, &cfg)
+            let got = BackendSpec::Sim
+                .build(ExecutorKind::Sequential)
+                .run(&plan, &case.device, &cfg)
                 .unwrap_err();
             assert_eq!(got, expected);
         }

@@ -5,9 +5,7 @@
 //! crate provides the derivative-free optimizers used throughout the
 //! evaluation:
 //!
-//! * [`nelder_mead`] — the default simplex optimizer;
-//! * [`spsa`] — simultaneous-perturbation stochastic approximation, robust
-//!   to sampling noise;
+//! * [`nelder_mead`] — the simplex optimizer that polishes every scan;
 //! * [`grid_scan_2d`] — the exhaustive 50×50 `(γ, β)` sweep behind the
 //!   optimization-landscape study (Fig. 12), and the oracle the faster
 //!   scans are tested against;
@@ -37,14 +35,12 @@
 
 mod grid;
 mod nm;
-mod spsa;
 
 pub use grid::{
     grid_axis, grid_scan_2d, grid_scan_2d_coarse_to_fine, grid_scan_2d_rows, CoarseToFineScan,
     GridScan,
 };
 pub use nm::{nelder_mead, NelderMeadOptions};
-pub use spsa::{spsa, SpsaOptions};
 
 use serde::{Deserialize, Serialize};
 

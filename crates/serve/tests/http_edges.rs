@@ -233,9 +233,20 @@ fn specs_the_builder_refuses_get_a_structured_422() {
     // A zero-point parameter grid, which no scan can honour.
     let exact = small_spec().to_json();
     let zero_grid = exact.replace("\"param_grid\":15", "\"param_grid\":0");
+    // Freezing 64 qubits: 2^64 branch masks cannot be enumerated (an
+    // unchecked mask shift overflows), so the cap refuses it.
+    let wide = JobBuilder::new()
+        .barabasi_albert(100, 1, 7)
+        .device(DeviceSpec::IbmWashington)
+        .frozen()
+        .build()
+        .unwrap()
+        .to_json();
+    let wide_freeze = wide.replace("\"num_frozen\":1,", "\"num_frozen\":64,");
     assert_ne!(fast_sample, fast, "the kind mutation must apply");
     assert_ne!(zero_grid, exact, "the grid mutation must apply");
-    for body in [&fast_sample, &zero_grid] {
+    assert_ne!(wide_freeze, wide, "the freeze mutation must apply");
+    for body in [&fast_sample, &zero_grid, &wide_freeze] {
         let response = client::request(&addr, "POST", "/v1/jobs", Some(body)).unwrap();
         assert_eq!(response.status, 422, "{body}: {}", response.body);
         let error = response.json().unwrap().field("error").unwrap().clone();

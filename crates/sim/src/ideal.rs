@@ -1,8 +1,8 @@
-//! Ideal (noise-free) execution helpers: run, sample, and compute
+//! Ideal (noise-free) execution helpers: run a circuit and compute
 //! `EV_ideal` for the ARG metric (Eq. 4).
 
 use fq_circuit::{build_qaoa_circuit, QuantumCircuit};
-use fq_ising::{IsingModel, OutputDistribution};
+use fq_ising::IsingModel;
 
 use crate::{SimError, Statevector};
 
@@ -30,25 +30,6 @@ pub fn run_circuit(circuit: &QuantumCircuit) -> Result<Statevector, SimError> {
     let mut sv = Statevector::zero_state(circuit.num_qubits())?;
     sv.run(circuit)?;
     Ok(sv)
-}
-
-/// Samples `shots` outcomes of a bound circuit into an
-/// [`OutputDistribution`] over the circuit's qubits.
-///
-/// # Errors
-///
-/// Same conditions as [`run_circuit`].
-pub fn sample_distribution(
-    circuit: &QuantumCircuit,
-    shots: u64,
-    seed: u64,
-) -> Result<OutputDistribution, SimError> {
-    let sv = run_circuit(circuit)?;
-    let mut dist = OutputDistribution::new(circuit.num_qubits());
-    for z in sv.sample_spins(shots, seed) {
-        dist.record(z, 1);
-    }
-    Ok(dist)
 }
 
 /// The exact `p`-layer QAOA expectation value by statevector simulation.
@@ -84,19 +65,6 @@ mod tests {
         let mut m = IsingModel::new(2);
         m.set_coupling(0, 1, 1.0).unwrap();
         m
-    }
-
-    #[test]
-    fn sampling_respects_circuit_distribution() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.h(0).unwrap();
-        qc.cx(0, 1).unwrap();
-        qc.measure_all();
-        let d = sample_distribution(&qc, 4000, 3).unwrap();
-        // Bell state: only 00 and 11 appear.
-        assert_eq!(d.num_outcomes(), 2);
-        let p00 = d.probability(&fq_ising::SpinVec::from_bits(&[0, 0]));
-        assert!((p00 - 0.5).abs() < 0.05);
     }
 
     #[test]

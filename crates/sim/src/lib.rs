@@ -18,8 +18,8 @@
 //! Every simulation path is pure data in, pure data out: no interior
 //! mutability, no globals, all RNG state seeded and local to a call. All
 //! public types are therefore `Send + Sync` (asserted in the test suite),
-//! which is what lets the core pipeline's `ParallelExecutor` fan
-//! noisy-expectation and sampling work out across worker threads.
+//! which is what lets the core pipeline fan noisy-expectation and
+//! sampling work out across worker threads.
 //!
 //! # Example
 //!
@@ -55,12 +55,12 @@ pub use approx::{cos_poly, sin_poly, subsample_couplings, POLY_TRIG_MAX_ABS_ERRO
 pub use complex::Complex;
 pub use eps::{eps, log_eps};
 pub use error::SimError;
-pub use ideal::{qaoa_expectation_sv, run_circuit, sample_distribution};
+pub use ideal::{qaoa_expectation_sv, run_circuit};
 pub use mc::{sample_noisy, NoisySamplerConfig};
 pub use noise::{
     fidelity_model, gate_error_rates, lightcone_fidelities, lightcone_fidelities_truncated,
     noisy_expectation_from_lightcone, noisy_expectation_from_terms, noisy_expectation_lightcone,
-    noisy_expectation_lightcone_truncated, FidelityModel, LightconeFidelity,
+    FidelityModel, LightconeFidelity,
 };
 pub use state::{ising_expectation_from_terms, Statevector, MAX_STATEVECTOR_QUBITS};
 

@@ -348,9 +348,10 @@ pub fn noisy_expectation_lightcone(
 /// term qubit sets, never on coefficient values) pay the `O(gates)`
 /// table construction once instead of per evaluation.
 ///
-/// Bit-identical to [`noisy_expectation_lightcone`] /
-/// [`noisy_expectation_lightcone_truncated`] fed the same tables: those
-/// functions now delegate here for the assembly loop.
+/// Bit-identical to [`noisy_expectation_lightcone`] fed the same tables:
+/// that function delegates here for the assembly loop. With cones from
+/// [`lightcone_fidelities_truncated`] this is the approximate QoS tiers'
+/// noise estimator.
 ///
 /// # Errors
 ///
@@ -388,35 +389,6 @@ pub fn noisy_expectation_from_lightcone(
         ev += jij * att * zz_ideal[k];
     }
     Ok(ev)
-}
-
-/// [`noisy_expectation_lightcone`] with the cone walk truncated to the
-/// last `max_depth` gates ([`lightcone_fidelities_truncated`]) — the
-/// approximate QoS tiers' noise estimator. `max_depth == 0` degenerates
-/// to pure whole-circuit attenuation (every cone factor equals the
-/// global gate fidelity), and `max_depth ≥ gates` is bit-identical to
-/// [`noisy_expectation_lightcone`].
-///
-/// # Errors
-///
-/// Returns [`SimError::WidthMismatch`] on any dimension mismatch.
-pub fn noisy_expectation_lightcone_truncated(
-    model: &IsingModel,
-    z_ideal: &[f64],
-    zz_ideal: &[f64],
-    compiled: &Compiled,
-    device: &Device,
-    max_depth: usize,
-) -> Result<f64, SimError> {
-    if z_ideal.len() != model.num_vars() || zz_ideal.len() != model.num_couplings() {
-        return Err(SimError::WidthMismatch {
-            circuit: model.num_vars(),
-            state: z_ideal.len(),
-        });
-    }
-    let fid = fidelity_model(compiled, device);
-    let cones = lightcone_fidelities_truncated(model, compiled, device, max_depth)?;
-    noisy_expectation_from_lightcone(model, z_ideal, zz_ideal, &fid, &cones)
 }
 
 #[cfg(test)]
@@ -596,14 +568,19 @@ mod tests {
             noisy_expectation_from_terms(&m, &z, &zz, &f).unwrap()
         };
         let cone = noisy_expectation_lightcone(&m, &z, &zz, &c, &dev).unwrap();
-        let trunc = noisy_expectation_lightcone_truncated(&m, &z, &zz, &c, &dev, 32).unwrap();
+        // The tiers' estimator: truncated cone tables, then the assembly.
+        let truncated = |depth| {
+            let fid = fidelity_model(&c, &dev);
+            let cones = lightcone_fidelities_truncated(&m, &c, &dev, depth).unwrap();
+            noisy_expectation_from_lightcone(&m, &z, &zz, &fid, &cones).unwrap()
+        };
+        let trunc = truncated(32);
         let (lo, hi) = (global.abs().min(cone.abs()), global.abs().max(cone.abs()));
         assert!(
             trunc.abs() >= lo - 1e-12 && trunc.abs() <= hi + 1e-12,
             "truncated {trunc} outside [{lo}, {hi}]"
         );
-        let full =
-            noisy_expectation_lightcone_truncated(&m, &z, &zz, &c, &dev, c.circuit.len()).unwrap();
+        let full = truncated(c.circuit.len());
         assert_eq!(full, cone, "full depth reproduces the exact lightcone EV");
     }
 

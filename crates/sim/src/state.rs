@@ -5,7 +5,7 @@
 //! [`fq_ising::SpinVec::from_index`].
 
 use fq_circuit::{Gate, QuantumCircuit};
-use fq_ising::{IsingModel, SpinVec};
+use fq_ising::IsingModel;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -296,15 +296,6 @@ impl Statevector {
                     .partition_point(|&c| c < u)
                     .min(self.amps.len() - 1)
             })
-            .collect()
-    }
-
-    /// Draws `shots` outcomes as spin assignments.
-    #[must_use]
-    pub fn sample_spins(&self, shots: u64, seed: u64) -> Vec<SpinVec> {
-        self.sample_indices(shots, seed)
-            .into_iter()
-            .map(|idx| SpinVec::from_index(idx as u64, self.num_qubits))
             .collect()
     }
 

@@ -8,7 +8,9 @@
 //!   pinned both against `fq_transpile::compile_invocations()` (no
 //!   duplicate compiles under concurrency) and against a sequential
 //!   reference cache;
-//! * cache statistics are exact, and the LRU bound is respected.
+//! * cache statistics are exact, and the LRU bound is respected;
+//! * approximate-tier jobs on both backends match the sequential
+//!   reference too.
 //!
 //! `compile_invocations()` is process-global, so this file holds a single
 //! test (its own process) and measures deltas with nothing else compiling.
@@ -17,7 +19,7 @@ use fq_transpile::compile_invocations;
 use frozenqubits::api::{
     BackendSpec, BatchRunner, DeviceSpec, GraphWeighting, JobBuilder, JobSpec, ProblemSpec,
 };
-use frozenqubits::{FqError, FrozenQubitsConfig, JobKind, JobResult, TemplateCache};
+use frozenqubits::{FqError, FrozenQubitsConfig, JobKind, JobResult, QosTier, TemplateCache};
 
 /// A frozen job over the fixed problem family `(n, graph_seed)` — jobs
 /// sharing a family share one sub-circuit shape regardless of the
@@ -217,4 +219,38 @@ fn parallel_batch_is_bit_identical_and_compiles_once_per_key() {
         bstats.len as u64,
         "misses, evictions and residency must reconcile exactly"
     );
+
+    // — Approximate tiers on both backends: each backend picks its own
+    // lightcone depth per tier. Seeds repeat, so the runner's tier plan
+    // and resolve memos hit; results must still match a sequential run
+    // on a fresh cache.
+    let mut tier_specs: Vec<JobSpec> = Vec::new();
+    for tier in [QosTier::Balanced, QosTier::Fast] {
+        for backend in [BackendSpec::Sim, BackendSpec::NoiseModel] {
+            for seed in [0, 1, 0, 1] {
+                let base = JobBuilder::new()
+                    .barabasi_albert(10, 1, 4)
+                    .device(DeviceSpec::IbmMontreal)
+                    .num_frozen(2)
+                    .seed(seed)
+                    .tier(tier)
+                    .backend(backend);
+                tier_specs.push(base.clone().frozen().build().unwrap());
+                tier_specs.push(base.compare().build().unwrap());
+            }
+        }
+    }
+    let tiered = BatchRunner::new().with_threads(4).run(&tier_specs);
+    let tier_cache = TemplateCache::new();
+    for (i, (spec, got)) in tier_specs.iter().zip(&tiered).enumerate() {
+        let want = spec
+            .to_job()
+            .and_then(|job| job.run_cached(&tier_cache))
+            .unwrap();
+        assert_eq!(
+            got.as_ref().unwrap(),
+            &want,
+            "tier job {i}: parallel result diverged"
+        );
+    }
 }

@@ -1,16 +1,13 @@
-//! Executor equivalence: the parallel backend must be a pure scheduling
-//! change — every job kind has to produce **identical** results under
-//! `SequentialExecutor` and `ParallelExecutor`, through the job API
-//! (`Job::from_parts`) and through a raw plan.
+//! Executor equivalence: running branches in parallel must be a pure
+//! scheduling change — every job kind has to produce **identical**
+//! results under `ExecutorKind::Sequential` and `ExecutorKind::Parallel`,
+//! through the job API (`Job::from_parts`) and through a raw plan.
 
 use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
 use fq_transpile::Device;
 use frozenqubits::api::JobResult;
-use frozenqubits::{
-    plan_execution, Executor, ExecutorKind, FrozenQubitsConfig, Job, JobKind, ParallelExecutor,
-    SequentialExecutor,
-};
+use frozenqubits::{plan_execution, BackendSpec, ExecutorKind, FrozenQubitsConfig, Job, JobKind};
 
 fn ba(n: usize, seed: u64) -> IsingModel {
     to_ising_pm1(&gen::barabasi_albert(n, 1, seed).unwrap(), seed)
@@ -72,10 +69,9 @@ fn raw_executor_outcomes_are_identical_and_ordered() {
     let model = ba(12, 32);
     let config = cfg(3, ExecutorKind::Parallel);
     let plan = plan_execution(&model, &device, &config).unwrap();
-    let seq = SequentialExecutor.execute(&plan, &device, &config).unwrap();
-    let par = ParallelExecutor::default()
-        .execute(&plan, &device, &config)
-        .unwrap();
+    let run = |kind| BackendSpec::Sim.build(kind).run(&plan, &device, &config);
+    let seq = run(ExecutorKind::Sequential).unwrap();
+    let par = run(ExecutorKind::Parallel).unwrap();
     assert_eq!(seq, par);
     assert_eq!(seq.len(), 4);
     for (i, outcome) in seq.iter().enumerate() {
@@ -83,9 +79,7 @@ fn raw_executor_outcomes_are_identical_and_ordered() {
         assert_eq!(outcome.weight, 2.0);
     }
     // A fixed thread count is the same backend, only narrower.
-    let two = ParallelExecutor::new(2)
-        .execute(&plan, &device, &config)
-        .unwrap();
+    let two = run(ExecutorKind::Threads(2)).unwrap();
     assert_eq!(seq, two);
 }
 

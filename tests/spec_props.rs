@@ -18,7 +18,7 @@ use fq_ising::IsingModel;
 use frozenqubits::api::{
     BackendSpec, DeviceSpec, GraphWeighting, JobBuilder, JobKind, JobSpec, ProblemSpec,
 };
-use frozenqubits::{ExecutorKind, FqError, FrozenQubitsConfig, QosTier};
+use frozenqubits::{ExecutorKind, FqError, FrozenQubitsConfig, QosTier, MAX_FROZEN_QUBITS};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -180,7 +180,7 @@ fn invalid_config_containing(error: &FqError, phrase: &str) -> bool {
     matches!(error, FqError::InvalidConfig(msg) if msg.contains(phrase))
 }
 
-const RULES: [Rule; 8] = [
+const RULES: [Rule; 9] = [
     Rule {
         name: "a sampling job on a non-exact tier",
         mutate: |spec, rng| {
@@ -245,6 +245,24 @@ const RULES: [Rule; 8] = [
             spec.config.num_frozen = spec.problem.num_vars() + rng.random_range(1..=3usize);
         },
         refuses: |e| matches!(e, FqError::TooManyFrozen { .. }),
+    },
+    Rule {
+        name: "more frozen qubits than the branch enumeration allows",
+        mutate: |spec, rng| {
+            if spec.kind == JobKind::Baseline {
+                spec.kind = JobKind::Frozen;
+            }
+            let n = rng.random_range(MAX_FROZEN_QUBITS + 1..=100usize);
+            spec.problem = ProblemSpec::BarabasiAlbert {
+                n,
+                d: rng.random_range(1..=2usize),
+                seed: rng.random(),
+            };
+            spec.config.num_frozen = rng.random_range(MAX_FROZEN_QUBITS + 1..=n.min(64));
+            // At p = 1 the multi-layer width rule cannot fire as well.
+            spec.config.layers = 1;
+        },
+        refuses: |e| invalid_config_containing(e, "qubits may be frozen"),
     },
     Rule {
         name: "p ≥ 2 beyond the exact-simulation width",
