@@ -382,6 +382,9 @@ pub struct CacheStats {
     pub promotions: u64,
     /// Artifacts resident in the spill tier.
     pub spill_len: usize,
+    /// Distinct artifacts resident across both tiers
+    /// ([`StoreStats::resident`](crate::StoreStats::resident)).
+    pub resident: usize,
 }
 
 /// One in-flight compile: waiters block on the condvar until the
@@ -493,6 +496,7 @@ impl TemplateCache {
             spills: s.spills,
             promotions: s.promotions,
             spill_len: s.spill_len,
+            resident: s.resident(),
         }
     }
 

@@ -419,6 +419,16 @@ pub struct StoreStats {
     pub spill_len: usize,
 }
 
+impl StoreStats {
+    /// Distinct artifacts resident across both tiers. The primary tier
+    /// is written through to the spill tier, so the larger tier holds
+    /// every artifact and one held in both counts once.
+    #[must_use]
+    pub fn resident(&self) -> usize {
+        self.len.max(self.spill_len)
+    }
+}
+
 /// Where compiled templates live — the storage seam behind
 /// [`TemplateCache`](crate::TemplateCache).
 ///

@@ -74,6 +74,9 @@ pub(crate) struct Metrics {
     pub(crate) shed: AtomicU64,
     /// Template artifacts the sentinel pushed between shards.
     pub(crate) warm_pushes: AtomicU64,
+    /// Sentinel pushes the owner did not store: refused with an error
+    /// status, or the owner could not be reached.
+    pub(crate) warm_refused: AtomicU64,
 }
 
 /// One thread's keep-alive connections, one per shard. Never shared:

@@ -22,11 +22,16 @@
 //!   verbatim (they are deterministic — a second shard would produce
 //!   the same bytes). When every candidate is exhausted, the dispatcher
 //!   sheds with the shards' own `503` + `retry-after` contract.
-//! * **A sentinel** that probes `/v1/healthz` + `/v1/stats` +
-//!   `/v1/templates` on every shard, promotes/demotes routing health,
-//!   and continuously pushes compiled-template artifacts toward their
-//!   rendezvous owners — a cold or newly joined shard is warmed while
-//!   the cluster runs, no restarts.
+//! * **A sentinel** that probes `/v1/healthz` + `/v1/stats` + the `K`
+//!   hottest rows of `/v1/templates` (`?limit=K`, `K` derived from the
+//!   per-cycle push budget) on every shard, promotes/demotes routing
+//!   health, and continuously pushes compiled-template artifacts toward
+//!   their rendezvous owners — a cold or newly joined shard is warmed
+//!   while the cluster runs, no restarts. The rows a cycle transfers
+//!   and plans from are bounded by `K`, and its pushes by the budget; an
+//!   owner that refuses a push, or a shard that cannot be reached,
+//!   leaves the rest of the cycle's pass. Each shard still sorts its
+//!   whole index to answer a probe.
 //!
 //! The contract that makes the tier honest: a synchronous `200` from
 //! the dispatcher is the owning shard's response **byte-for-byte**, and
@@ -41,7 +46,7 @@
 //! | `GET /v1/jobs/{id}` | poll a dispatcher-side job |
 //! | `POST /v1/batch` | a JSON array of specs; scattered by affinity, merged in job order |
 //! | `GET /v1/healthz` | dispatcher liveness |
-//! | `GET /v1/stats` | shard roster + health + telemetry, queue, job counters, forward/re-route/shed/warm counters |
+//! | `GET /v1/stats` | shard roster + health + telemetry, queue, job counters, forward/re-route/shed/warm-push/warm-refused counters |
 //! | `GET /v1/shards` | the shard roster |
 //! | `POST /v1/shards` | admin join (`{"addr":"host:port"}`), bearer-token gated |
 //!

@@ -75,7 +75,9 @@ pub struct DispatchConfig {
     pub auth_token: Option<String>,
     /// Sentinel probe/convergence cadence.
     pub sentinel_interval: Duration,
-    /// Most warm-transfer pushes per sentinel cycle.
+    /// Most warm-transfer pushes per sentinel cycle. It also sizes the
+    /// cycle's probe: the sentinel downloads 32 × this many of each
+    /// shard's hottest index rows.
     pub warm_batch: usize,
     /// Retry/backoff/poll policy for the forwarding path.
     pub retry_rounds: usize,
@@ -460,7 +462,7 @@ fn shards_array(state: &DispatchState) -> Value {
                     ("queue_depth", Value::UInt(shard.stats.queue_depth)),
                     ("busy", Value::UInt(shard.stats.busy)),
                     ("uptime_secs", Value::UInt(shard.stats.uptime_secs)),
-                    ("templates", Value::UInt(shard.templates.len() as u64)),
+                    ("templates", Value::UInt(shard.stats.templates)),
                 ])
             })
             .collect(),
@@ -501,6 +503,10 @@ fn stats_body(state: &DispatchState) -> String {
                 (
                     "warm_pushes",
                     Value::UInt(state.metrics.warm_pushes.load(Ordering::Relaxed)),
+                ),
+                (
+                    "warm_refused",
+                    Value::UInt(state.metrics.warm_refused.load(Ordering::Relaxed)),
                 ),
             ]),
         ),

@@ -25,6 +25,8 @@ pub struct ProbeStats {
     pub busy: u64,
     /// Seconds since the shard booted.
     pub uptime_secs: u64,
+    /// Distinct templates resident on the shard (`cache.resident`).
+    pub templates: u64,
 }
 
 /// A point-in-time copy of one shard's entry, for `/v1/stats`, the
@@ -41,7 +43,10 @@ pub struct ShardSnapshot {
     pub probed: bool,
     /// Last probed telemetry.
     pub stats: ProbeStats,
-    /// Last probed resident-template fingerprints.
+    /// The shard's hottest resident-template fingerprints at the last
+    /// probe, hottest first: at most the sentinel's probe limit, not
+    /// the whole store (the resident count is
+    /// [`ProbeStats::templates`]).
     pub templates: Vec<String>,
 }
 
@@ -232,6 +237,7 @@ mod tests {
             queue_depth: 1,
             busy: 3,
             uptime_secs: 42,
+            templates: 1,
         };
         table.record_probe("127.0.0.1:2", stats, vec!["00c0ffee00c0ffee".into()]);
         let snap = table

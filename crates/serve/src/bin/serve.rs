@@ -40,7 +40,8 @@ Serves the FrozenQubits job API over HTTP/1.1:
   GET  /v1/jobs/{id}        poll an async submission
   GET  /v1/healthz          liveness probe
   GET  /v1/stats            cache/queue/job telemetry
-  GET  /v1/templates        resident-template index (warm-transfer source)
+  GET  /v1/templates        resident-template index, hottest first
+                            (warm-transfer source; ?limit=K keeps K rows)
   GET  /v1/templates/{fp}   one serialized template artifact
   POST /v1/templates        push a template artifact into this shard
 

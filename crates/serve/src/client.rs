@@ -413,7 +413,13 @@ pub fn poll(addr: &str, id: JobId) -> Result<(String, Option<JobResult>), FqErro
 /// [`FqError::Io`] for non-`200` responses, plus transport and decode
 /// errors.
 pub fn template_index(addr: &str) -> Result<Vec<(String, u64)>, FqError> {
-    let response = request(addr, "GET", "/v1/templates", None)?;
+    index_at(addr, "/v1/templates")
+}
+
+/// The index rows behind `target` (`/v1/templates`, with or without a
+/// `?limit=`).
+fn index_at(addr: &str, target: &str) -> Result<Vec<(String, u64)>, FqError> {
+    let response = request(addr, "GET", target, None)?;
     if response.status != 200 {
         return Err(service_error(&response));
     }
@@ -478,10 +484,12 @@ pub fn push_template_with_token(
     Ok(())
 }
 
-/// Warms `cache` from a peer shard: pulls the peer's template index and
-/// fetches up to `limit` of its hottest artifacts into the cache, so a
-/// freshly started shard serves its first jobs without paying compiles
-/// the fleet already paid. Returns how many templates were installed.
+/// Warms `cache` from a peer shard: asks the peer for its `limit`
+/// hottest templates (`GET /v1/templates?limit=<limit>`, so the index
+/// it downloads is bounded by `limit`, not by the peer's store) and
+/// fetches each artifact into the cache, so a freshly started shard
+/// serves its first jobs without paying compiles the fleet already
+/// paid. Returns how many templates were installed.
 ///
 /// Individual artifacts that vanish or fail integrity checks mid-pull
 /// are skipped (the peer keeps serving; its cache keeps evolving) —
@@ -492,7 +500,7 @@ pub fn push_template_with_token(
 /// [`FqError::Io`] when the peer's index cannot be fetched.
 pub fn warm_from(addr: &str, cache: &TemplateCache, limit: usize) -> Result<usize, FqError> {
     let mut installed = 0usize;
-    for (fingerprint, _) in template_index(addr)?.into_iter().take(limit) {
+    for (fingerprint, _) in index_at(addr, &format!("/v1/templates?limit={limit}"))? {
         if let Ok(artifact) = fetch_template(addr, &fingerprint) {
             cache.insert_artifact(&artifact);
             installed += 1;

@@ -8,7 +8,7 @@
 //! | GET    | `/v1/jobs/{id}`       | poll a submitted job           |
 //! | GET    | `/v1/healthz`         | liveness probe                 |
 //! | GET    | `/v1/stats`           | cache/queue/job telemetry      |
-//! | GET    | `/v1/templates`       | resident-template index        |
+//! | GET    | `/v1/templates`       | template index (`?limit=K`)    |
 //! | GET    | `/v1/templates/{fp}`  | one template artifact          |
 //! | POST   | `/v1/templates`       | push a template artifact       |
 //!
@@ -33,7 +33,8 @@ pub(crate) enum Route {
     /// parse error's own message. → `400`.
     MalformedJobId(String),
     /// `GET /v1/templates`: the resident-template index (fingerprint +
-    /// recency, hottest first) a peer shard pulls to plan its warm set.
+    /// recency, hottest first) a peer shard pulls to plan its warm set;
+    /// `?limit=K` keeps the first `K` rows.
     TemplateIndex,
     /// `GET /v1/templates/{fingerprint}`: one serialized template
     /// artifact.

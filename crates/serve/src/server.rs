@@ -78,19 +78,20 @@ pub struct ServerConfig {
     /// any) demotes instead of discarding. `None` = memory only.
     pub cache_dir: Option<String>,
     /// When set, pull the peer shard's hottest templates into this
-    /// server's store at boot (`GET /v1/templates` on the peer, then one
-    /// `GET /v1/templates/{fingerprint}` per pulled artifact). Best
-    /// effort: an unreachable peer logs to stderr and the server starts
-    /// cold.
+    /// server's store at boot (`GET /v1/templates?limit=<warm_limit>` on
+    /// the peer, then one `GET /v1/templates/{fingerprint}` per pulled
+    /// artifact). Best effort: an unreachable peer logs to stderr and
+    /// the server starts cold.
     pub warm_from: Option<String>,
     /// Most templates pulled from `warm_from` at boot.
     pub warm_limit: usize,
     /// Residency bound gating `POST /v1/templates`: pushes are refused
     /// (`503` + kind `cache_full`) once the store holds this many
-    /// artifacts across both tiers. Organic compiles are bounded by the
-    /// workload's shape space, but pushes are remote input — without a
-    /// cap an unauthenticated client could grow an unbounded store (or
-    /// the disk spill directory) without limit.
+    /// distinct artifacts (one written through to both tiers counts
+    /// once). Organic compiles are bounded by the workload's shape
+    /// space, but pushes are remote input — without a cap an
+    /// unauthenticated client could grow an unbounded store (or the
+    /// disk spill directory) without limit.
     pub template_push_cap: usize,
     /// How long a finished job's result is retained for polling before
     /// the registry expires it (poll-after-expiry → `410 Gone`).
@@ -301,7 +302,10 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
         // The message is `JobId::FromStr`'s own (carried through the
         // router), so the wire-facing text has exactly one source.
         Route::MalformedJobId(message) => error_response(400, "bad_request", &message),
-        Route::TemplateIndex => Response::json(200, template_index_body(state)),
+        Route::TemplateIndex => match index_limit(request) {
+            Ok(limit) => Response::json(200, template_index_body(state, limit)),
+            Err(message) => error_response(400, "bad_request", &message),
+        },
         Route::Template(fingerprint) => match state.runner.cache().artifact(&fingerprint) {
             Some(artifact) => Response::json(200, artifact.to_json()),
             None => error_response(
@@ -351,15 +355,15 @@ fn handle_template_push(state: &ServerState, request: &Request) -> Response {
     // unauthenticated peer cannot grow the store (or its disk spill)
     // without bound. Organic compiles are not gated — the workload's
     // own shape space bounds those (plus the LRU, when configured).
-    let stats = state.runner.cache_stats();
-    if stats.len + stats.spill_len >= state.config.template_push_cap {
+    // An artifact written through to both tiers counts once.
+    let resident = state.runner.cache_stats().resident;
+    if resident >= state.config.template_push_cap {
         return error_response(
             503,
             "cache_full",
             &format!(
-                "template store holds {} artifacts (push cap {}); raise --template-push-cap \
-                 or bound the store with --cache-capacity",
-                stats.len + stats.spill_len,
+                "template store holds {resident} artifacts (push cap {}); raise \
+                 --template-push-cap or bound the store with --cache-capacity",
                 state.config.template_push_cap
             ),
         );
@@ -385,10 +389,23 @@ fn handle_template_push(state: &ServerState, request: &Request) -> Response {
     }
 }
 
-/// `GET /v1/templates`: every resident template's fingerprint with a
-/// recency stamp, hottest first — what a peer pulls to plan its warm
-/// set.
-fn template_index_body(state: &ServerState) -> String {
+/// The `?limit=K` of `GET /v1/templates`: `None` when absent, an error
+/// message when it is not a non-negative integer.
+fn index_limit(request: &Request) -> Result<Option<usize>, String> {
+    request
+        .query_param("limit")
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("`limit` must be a non-negative integer (got `{raw}`)"))
+        })
+        .transpose()
+}
+
+/// `GET /v1/templates[?limit=K]`: resident templates' fingerprints with
+/// a recency stamp, hottest first — all of them, or the `K` hottest.
+/// What a peer pulls to plan its warm set, and what the dispatcher's
+/// sentinel probes to find strays.
+fn template_index_body(state: &ServerState, limit: Option<usize>) -> String {
     Value::object(vec![
         ("v", Value::UInt(WIRE_V)),
         (
@@ -399,6 +416,7 @@ fn template_index_body(state: &ServerState) -> String {
                     .cache()
                     .index()
                     .into_iter()
+                    .take(limit.unwrap_or(usize::MAX))
                     .map(|entry| {
                         Value::object(vec![
                             ("fingerprint", Value::string(entry.fingerprint)),
@@ -449,6 +467,7 @@ fn stats_body(state: &ServerState) -> String {
                 ("spills", Value::UInt(cache.spills)),
                 ("promotions", Value::UInt(cache.promotions)),
                 ("spill_len", Value::UInt(cache.spill_len as u64)),
+                ("resident", Value::UInt(cache.resident as u64)),
             ]),
         ),
         ("queue", state.jobs.queue_stats()),

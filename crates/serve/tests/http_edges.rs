@@ -694,6 +694,29 @@ fn template_endpoints_reject_garbage_and_miss_cleanly() {
     assert_eq!(fetched.to_json(), artifact.to_json());
     assert_eq!(client::template_index(&addr).unwrap().len(), 1);
 
+    // `?limit=K` keeps the first K rows in the same document shape: none
+    // at 0, the whole index at or above the resident count, and a
+    // structured 400 for anything but a non-negative integer.
+    let full = client::request(&addr, "GET", "/v1/templates", None).unwrap();
+    let none = client::request(&addr, "GET", "/v1/templates?limit=0", None).unwrap();
+    assert_eq!(none.status, 200);
+    assert_eq!(none.body, r#"{"v":1,"templates":[]}"#);
+    for limit in [1, 2, 4096] {
+        let target = format!("/v1/templates?limit={limit}");
+        let limited = client::request(&addr, "GET", &target, None).unwrap();
+        assert_eq!(limited.status, 200, "{target}");
+        assert_eq!(limited.body, full.body, "{target}");
+    }
+    for bad in ["abc", "-1", ""] {
+        let target = format!("/v1/templates?limit={bad}");
+        let response = client::request(&addr, "GET", &target, None).unwrap();
+        assert_eq!(response.status, 400, "{target}: {}", response.body);
+        assert_eq!(
+            error_kind(&format!("x\r\n\r\n{}", response.body)),
+            "bad_request"
+        );
+    }
+
     handle.shutdown();
 }
 
@@ -728,11 +751,47 @@ fn template_push_cap_refuses_unbounded_growth() {
         "cache_full"
     );
     handle.shutdown();
+
+    // A `--cache-dir` shard writes every artifact through to both tiers;
+    // each still counts once, so a cap of 2 takes two distinct artifacts
+    // and refuses the third.
+    let dir = std::env::temp_dir().join(format!("fq-push-cap-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (handle, addr) = spawn(ServerConfig {
+        workers: 1,
+        template_push_cap: 2,
+        cache_dir: Some(dir.to_string_lossy().into_owned()),
+        ..ServerConfig::default()
+    });
+    let artifacts = [ba_artifact(8), ba_artifact(9), ba_artifact(10)];
+    client::push_template(&addr, &artifacts[0]).unwrap();
+    client::push_template(&addr, &artifacts[1]).unwrap();
+    let refused = client::request(
+        &addr,
+        "POST",
+        "/v1/templates",
+        Some(&artifacts[2].to_json()),
+    )
+    .unwrap();
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    assert!(
+        refused.body.contains("holds 2 artifacts (push cap 2)"),
+        "{}",
+        refused.body
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Builds one pushable template artifact from the small spec's shape.
-fn small_artifact() -> frozenqubits::TemplateArtifact {
-    let spec = small_spec();
+/// A pushable template artifact for the BA(n, d=1, seed=1) shape on
+/// `ibmq_montreal` (the small spec's shape at `n = 8`).
+fn ba_artifact(n: usize) -> frozenqubits::TemplateArtifact {
+    let spec = JobBuilder::new()
+        .barabasi_albert(n, 1, 1)
+        .device(DeviceSpec::IbmMontreal)
+        .baseline()
+        .build()
+        .unwrap();
     let model = spec.problem.resolve().unwrap();
     let device = frozenqubits::api::DeviceSpec::IbmMontreal.build();
     let options = frozenqubits::FrozenQubitsConfig::default().compile;
@@ -785,6 +844,7 @@ fn stats_shape_is_pinned_for_the_sentinel() {
         "spills",
         "promotions",
         "spill_len",
+        "resident",
     ] {
         cache.field(field).unwrap();
     }
@@ -853,7 +913,7 @@ fn auth_token_gates_template_pushes() {
         auth_token: Some("sesame".into()),
         ..ServerConfig::default()
     });
-    let artifact = small_artifact();
+    let artifact = ba_artifact(8);
 
     // No token → 401, nothing stored.
     let refused = client::push_template(&addr, &artifact).unwrap_err();
@@ -890,7 +950,7 @@ fn no_auth_token_means_open_pushes() {
         workers: 1,
         ..ServerConfig::default()
     });
-    client::push_template(&addr, &small_artifact()).unwrap();
+    client::push_template(&addr, &ba_artifact(8)).unwrap();
     assert_eq!(client::template_index(&addr).unwrap().len(), 1);
     handle.shutdown();
 }
