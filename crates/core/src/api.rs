@@ -11,8 +11,9 @@
 //! ```
 //!
 //! * [`JobBuilder`] validates at **build time** — freezing more qubits
-//!   than the problem has, zero shots, or a multi-layer request beyond
-//!   the statevector width limit fail before any circuit is synthesized.
+//!   than the problem has, zero shots or more than [`MAX_SHOTS`], or a
+//!   multi-layer request beyond the statevector width limit fail before
+//!   any circuit is synthesized.
 //! * [`JobSpec`] is plain data with a pinned JSON wire format
 //!   ([`JobSpec::to_json`] / [`JobSpec::from_json`]), so specs can be
 //!   queued, logged and replayed byte-for-byte — the wire format the
@@ -313,10 +314,17 @@ pub enum JobKind {
     Compare,
     /// End-to-end noisy sampling with decoding and the final `min`.
     Sample {
-        /// Shots per executed branch.
+        /// Shots per executed branch, at most [`MAX_SHOTS`].
         shots: u64,
     },
 }
+
+/// The most shots one sampling job may ask for per executed branch.
+/// Every shot is drawn, decoded and recorded, so the count sets how long
+/// the job holds a worker and how many outcomes its result carries; a
+/// spec must not set those unchecked. Corpus and example jobs use at
+/// most 4,096.
+pub const MAX_SHOTS: u64 = 1 << 20;
 
 /// A validated, serializable job description.
 ///
@@ -462,6 +470,11 @@ impl JobSpec {
                     "sampling jobs need at least 1 shot".into(),
                 ));
             }
+            if shots > MAX_SHOTS {
+                return Err(FqError::InvalidConfig(format!(
+                    "{shots} shots requested; a sampling job may take at most {MAX_SHOTS}"
+                )));
+            }
             self.backend.check_sampling()?;
             if !config.tier.is_exact() {
                 return Err(FqError::InvalidConfig(
@@ -509,9 +522,10 @@ impl JobSpec {
 /// Problem, device and kind are mandatory; configuration defaults to
 /// [`FrozenQubitsConfig::default`] and the backend to [`BackendSpec::Sim`].
 /// [`JobBuilder::build`] rejects inconsistent requests — too many frozen
-/// qubits, zero layers or shots, multi-layer jobs beyond the statevector
-/// width limit — so errors surface before any circuit work starts. The
-/// wire parse ([`JobSpec::from_json`]) applies the same rules.
+/// qubits, zero layers, zero shots or more than [`MAX_SHOTS`], multi-layer
+/// jobs beyond the statevector width limit — so errors surface before any
+/// circuit work starts. The wire parse ([`JobSpec::from_json`]) applies the
+/// same rules.
 #[derive(Clone, Debug, Default)]
 pub struct JobBuilder {
     problem: Option<ProblemSpec>,

@@ -88,7 +88,7 @@ mod template;
 
 pub use api::{
     Backend, BackendSpec, BatchRunner, DeviceSpec, ErrorModel, GraphWeighting, Job, JobBuilder,
-    JobId, JobKind, JobResult, JobSpec, ProblemSpec,
+    JobId, JobKind, JobResult, JobSpec, ProblemSpec, MAX_SHOTS,
 };
 pub use config::{FrozenQubitsConfig, QosTier};
 pub use error::FqError;

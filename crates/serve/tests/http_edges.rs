@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use fq_serve::{client, Server, ServerConfig, ServerHandle};
 use frozenqubits::api::{DeviceSpec, JobBuilder, JobSpec};
-use frozenqubits::QosTier;
+use frozenqubits::{QosTier, MAX_SHOTS};
 use serde::json::Value;
 
 fn spawn(config: ServerConfig) -> (ServerHandle, String) {
@@ -243,10 +243,21 @@ fn specs_the_builder_refuses_get_a_structured_422() {
         .unwrap()
         .to_json();
     let wide_freeze = wide.replace("\"num_frozen\":1,", "\"num_frozen\":64,");
+    // One shot over the cap: every shot is drawn and recorded, so the
+    // spec would otherwise set a worker's work and memory.
+    let sample = JobBuilder::new()
+        .barabasi_albert(8, 1, 1)
+        .device(DeviceSpec::IbmMontreal)
+        .sample(64)
+        .build()
+        .unwrap()
+        .to_json();
+    let many_shots = sample.replace("\"shots\":64", &format!("\"shots\":{}", MAX_SHOTS + 1));
     assert_ne!(fast_sample, fast, "the kind mutation must apply");
     assert_ne!(zero_grid, exact, "the grid mutation must apply");
     assert_ne!(wide_freeze, wide, "the freeze mutation must apply");
-    for body in [&fast_sample, &zero_grid, &wide_freeze] {
+    assert_ne!(many_shots, sample, "the shots mutation must apply");
+    for body in [&fast_sample, &zero_grid, &wide_freeze, &many_shots] {
         let response = client::request(&addr, "POST", "/v1/jobs", Some(body)).unwrap();
         assert_eq!(response.status, 422, "{body}: {}", response.body);
         let error = response.json().unwrap().field("error").unwrap().clone();

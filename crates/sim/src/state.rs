@@ -281,20 +281,19 @@ impl Statevector {
     /// Draws `shots` measurement outcomes (seeded), as basis indices.
     #[must_use]
     pub fn sample_indices(&self, shots: u64, seed: u64) -> Vec<usize> {
-        let mut cumulative = Vec::with_capacity(self.amps.len());
+        draw_indices(&self.cumulative_probabilities(), shots, seed).collect()
+    }
+
+    /// The running sum of the basis-state probabilities: the table
+    /// [`draw_indices`] inverts. Built once, it serves every draw from
+    /// this state.
+    pub(crate) fn cumulative_probabilities(&self) -> Vec<f64> {
         let mut acc = 0.0f64;
-        for a in &self.amps {
-            acc += a.norm_sqr();
-            cumulative.push(acc);
-        }
-        let total = acc.max(f64::MIN_POSITIVE);
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..shots)
-            .map(|_| {
-                let u = rng.random::<f64>() * total;
-                cumulative
-                    .partition_point(|&c| c < u)
-                    .min(self.amps.len() - 1)
+        self.amps
+            .iter()
+            .map(|a| {
+                acc += a.norm_sqr();
+                acc
             })
             .collect()
     }
@@ -314,6 +313,26 @@ impl Statevector {
             }
         }
     }
+}
+
+/// Draws `shots` seeded basis indices from a state's
+/// [`Statevector::cumulative_probabilities`] table.
+pub(crate) fn draw_indices(
+    cumulative: &[f64],
+    shots: u64,
+    seed: u64,
+) -> impl Iterator<Item = usize> + '_ {
+    let total = cumulative
+        .last()
+        .copied()
+        .unwrap_or(0.0)
+        .max(f64::MIN_POSITIVE);
+    let last = cumulative.len().saturating_sub(1);
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..shots).map(move |_| {
+        let u = rng.random::<f64>() * total;
+        cumulative.partition_point(|&c| c < u).min(last)
+    })
 }
 
 /// Assembles an Ising expectation from per-term expectations in the exact

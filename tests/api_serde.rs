@@ -4,7 +4,9 @@
 //! are asserted literally so accidental format drift fails loudly.
 
 use frozenqubits::api::{BackendSpec, DeviceSpec, GraphWeighting, JobBuilder, JobSpec};
-use frozenqubits::{CircuitMetrics, ExecutorKind, FqError, HotspotStrategy, JobResult, RunSummary};
+use frozenqubits::{
+    CircuitMetrics, ExecutorKind, FqError, HotspotStrategy, JobResult, RunSummary, MAX_SHOTS,
+};
 
 #[test]
 fn default_compare_spec_matches_the_golden_bytes() {
@@ -144,7 +146,7 @@ fn full_range_u64_seeds_survive_the_wire() {
         .barabasi_albert(8, 1, u64::MAX)
         .device(DeviceSpec::IbmMontreal)
         .seed(u64::MAX - 1)
-        .sample(u64::MAX - 2)
+        .sample(MAX_SHOTS)
         .build()
         .unwrap();
     let text = spec.to_json();

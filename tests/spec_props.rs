@@ -18,7 +18,9 @@ use fq_ising::IsingModel;
 use frozenqubits::api::{
     BackendSpec, DeviceSpec, GraphWeighting, JobBuilder, JobKind, JobSpec, ProblemSpec,
 };
-use frozenqubits::{ExecutorKind, FqError, FrozenQubitsConfig, QosTier, MAX_FROZEN_QUBITS};
+use frozenqubits::{
+    ExecutorKind, FqError, FrozenQubitsConfig, QosTier, MAX_FROZEN_QUBITS, MAX_SHOTS,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -180,7 +182,7 @@ fn invalid_config_containing(error: &FqError, phrase: &str) -> bool {
     matches!(error, FqError::InvalidConfig(msg) if msg.contains(phrase))
 }
 
-const RULES: [Rule; 9] = [
+const RULES: [Rule; 10] = [
     Rule {
         name: "a sampling job on a non-exact tier",
         mutate: |spec, rng| {
@@ -206,6 +208,21 @@ const RULES: [Rule; 9] = [
         name: "a zero-point parameter grid",
         mutate: |spec, _| spec.config.param_grid = 0,
         refuses: |e| invalid_config_containing(e, "param_grid must be at least 1"),
+    },
+    Rule {
+        name: "more shots than a sampling job may take",
+        mutate: |spec, rng| {
+            spec.kind = JobKind::Sample {
+                shots: match rng.random_range(0..3usize) {
+                    0 => MAX_SHOTS + 1,
+                    1 => u64::MAX,
+                    _ => rng.random_range(MAX_SHOTS + 1..=u64::MAX),
+                },
+            };
+            spec.backend = BackendSpec::Sim;
+            spec.config.tier = QosTier::Exact;
+        },
+        refuses: |e| invalid_config_containing(e, "a sampling job may take at most"),
     },
     Rule {
         name: "a sampling job on the noise_model backend",
