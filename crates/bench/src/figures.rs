@@ -209,11 +209,6 @@ pub fn fig07_cnot_depth() {
     );
 }
 
-/// Fig. 8 shares its sweep with Fig. 7.
-pub fn fig08_arg_ba1() {
-    fig07_cnot_depth();
-}
-
 /// Fig. 9: fidelity-vs-cost trade-off, m = 1..10 on 24-qubit BA graphs.
 pub fn fig09_tradeoff() {
     println!("== Fig 9: quantum cost vs relative ARG / features (N = 24) ==");

@@ -51,6 +51,8 @@ pub use crate::config::QosTier;
 pub use backend::{Backend, BackendSpec};
 pub use batch::BatchRunner;
 
+use std::sync::OnceLock;
+
 use fq_graphs::{gen, to_ising_pm1, to_ising_unit, Graph};
 use fq_ising::{IsingModel, OutputDistribution, SpinVec};
 use fq_transpile::Device;
@@ -256,20 +258,30 @@ impl DeviceSpec {
         DeviceSpec::Grid2500,
     ];
 
-    /// Builds the calibrated device model.
+    /// The calibrated device model. Each preset is built once per
+    /// process (topology, all-pairs distances, seeded calibration); every
+    /// call returns a clone that shares the built topology.
     #[must_use]
     pub fn build(&self) -> Device {
-        match self {
-            DeviceSpec::IbmMontreal => Device::ibm_montreal(),
-            DeviceSpec::IbmToronto => Device::ibm_toronto(),
-            DeviceSpec::IbmMumbai => Device::ibm_mumbai(),
-            DeviceSpec::IbmAuckland => Device::ibm_auckland(),
-            DeviceSpec::IbmHanoi => Device::ibm_hanoi(),
-            DeviceSpec::IbmCairo => Device::ibm_cairo(),
-            DeviceSpec::IbmBrooklyn => Device::ibm_brooklyn(),
-            DeviceSpec::IbmWashington => Device::ibm_washington(),
-            DeviceSpec::Grid2500 => Device::grid_2500(),
-        }
+        static PRESETS: [OnceLock<Device>; DeviceSpec::ALL.len()] =
+            [const { OnceLock::new() }; DeviceSpec::ALL.len()];
+        let index = DeviceSpec::ALL
+            .iter()
+            .position(|d| d == self)
+            .expect("ALL lists every preset");
+        PRESETS[index]
+            .get_or_init(|| match self {
+                DeviceSpec::IbmMontreal => Device::ibm_montreal(),
+                DeviceSpec::IbmToronto => Device::ibm_toronto(),
+                DeviceSpec::IbmMumbai => Device::ibm_mumbai(),
+                DeviceSpec::IbmAuckland => Device::ibm_auckland(),
+                DeviceSpec::IbmHanoi => Device::ibm_hanoi(),
+                DeviceSpec::IbmCairo => Device::ibm_cairo(),
+                DeviceSpec::IbmBrooklyn => Device::ibm_brooklyn(),
+                DeviceSpec::IbmWashington => Device::ibm_washington(),
+                DeviceSpec::Grid2500 => Device::grid_2500(),
+            })
+            .clone()
     }
 
     /// The wire name — identical to the built [`Device`]'s name.

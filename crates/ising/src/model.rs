@@ -77,30 +77,14 @@ impl IsingModel {
         self.offset = offset;
     }
 
-    /// Adds to the constant offset term.
-    pub fn add_offset(&mut self, delta: f64) {
-        self.offset += delta;
-    }
-
     /// The linear coefficient `h_i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= num_vars`. Use [`IsingModel::try_linear`] for a
-    /// fallible variant.
+    /// Panics if `i >= num_vars`.
     #[must_use]
     pub fn linear(&self, i: usize) -> f64 {
         self.h[i]
-    }
-
-    /// The linear coefficient `h_i`, or an error for an out-of-range index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsingError::VariableOutOfRange`] if `i >= num_vars`.
-    pub fn try_linear(&self, i: usize) -> Result<f64, IsingError> {
-        self.check_var(i)?;
-        Ok(self.h[i])
     }
 
     /// Sets the linear coefficient `h_i`.
@@ -313,13 +297,6 @@ impl IsingModel {
     #[must_use]
     pub fn has_zero_linear_terms(&self) -> bool {
         self.h.iter().all(|&hi| hi == 0.0)
-    }
-
-    /// Sum of |h| and |J| magnitudes; a crude scale used by optimizer seeds.
-    #[must_use]
-    pub fn coefficient_norm(&self) -> f64 {
-        self.h.iter().map(|h| h.abs()).sum::<f64>()
-            + self.couplings.values().map(|j| j.abs()).sum::<f64>()
     }
 
     fn check_var(&self, i: usize) -> Result<(), IsingError> {

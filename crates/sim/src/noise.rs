@@ -190,7 +190,8 @@ pub struct LightconeFidelity {
 }
 
 /// Computes per-term lightcone gate fidelities for `model`'s terms in
-/// `compiled` on `device`.
+/// `compiled` on `device`: [`lightcone_fidelities_truncated`] at full
+/// depth.
 ///
 /// # Errors
 ///
@@ -201,42 +202,7 @@ pub fn lightcone_fidelities(
     compiled: &Compiled,
     device: &Device,
 ) -> Result<LightconeFidelity, SimError> {
-    if model.num_vars() > compiled.final_layout.len() {
-        return Err(SimError::WidthMismatch {
-            circuit: model.num_vars(),
-            state: compiled.final_layout.len(),
-        });
-    }
-    let errors = gate_error_rates(compiled, device);
-    let gates = compiled.circuit.gates();
-    let width = compiled.circuit.num_qubits();
-
-    let cone = |seed: &[usize]| -> f64 {
-        let mut active = vec![false; width];
-        for &l in seed {
-            active[compiled.final_layout[l]] = true;
-        }
-        let mut log = 0.0f64;
-        for (g, &e) in gates.iter().zip(&errors).rev() {
-            if matches!(g, Gate::Measure { .. }) {
-                continue;
-            }
-            let qs = g.qubits();
-            if qs.iter().any(|&q| active[q]) {
-                if e > 0.0 {
-                    log += (1.0 - e).ln();
-                }
-                for q in qs {
-                    active[q] = true;
-                }
-            }
-        }
-        log.exp()
-    };
-
-    let z = (0..model.num_vars()).map(|i| cone(&[i])).collect();
-    let zz = model.couplings().map(|((i, j), _)| cone(&[i, j])).collect();
-    Ok(LightconeFidelity { z, zz })
+    lightcone_fidelities_truncated(model, compiled, device, usize::MAX)
 }
 
 /// Like [`lightcone_fidelities`], but the reverse cone walk only visits
@@ -251,9 +217,18 @@ pub fn lightcone_fidelities(
 /// cone's prefix gates), and never smaller than the whole-circuit gate
 /// fidelity — so the truncated noisy EV always lies between the global
 /// and the exact-lightcone estimates. Two exact endpoints, pinned by
-/// tests: `max_depth ≥ gates` reproduces [`lightcone_fidelities`]
-/// bit-for-bit, and `max_depth == 0` reproduces the global
+/// tests: `max_depth ≥ gates` is the full [`lightcone_fidelities`], and
+/// `max_depth == 0` reproduces the global
 /// [`FidelityModel::gate_fidelity`] for every term.
+///
+/// Each logical qubit's backward cone is walked once, as a bitset over
+/// the window's gates. A coupling's cone is the union of its two qubits'
+/// cones: walking back, a gate joins the cone of a set of qubits exactly
+/// when it joins the cone of one of them, so by induction the set's
+/// active qubits stay the union of its members'. Every term then sums
+/// `ln(1 − e)` over its set bits in reverse gate order, the order in
+/// which a per-term walk meets them, so every table entry keeps its
+/// bits.
 ///
 /// # Errors
 ///
@@ -273,7 +248,6 @@ pub fn lightcone_fidelities_truncated(
     }
     let errors = gate_error_rates(compiled, device);
     let gates = compiled.circuit.gates();
-    let width = compiled.circuit.num_qubits();
     let split = gates.len().saturating_sub(max_depth);
 
     // Everything before the walk window survives as one shared factor,
@@ -287,31 +261,64 @@ pub fn lightcone_fidelities_truncated(
         }
     }
 
-    let cone = |seed: &[usize]| -> f64 {
-        let mut active = vec![false; width];
-        for &l in seed {
-            active[compiled.final_layout[l]] = true;
+    // Window gate `k` is bit `k` of a cone; `noisy` marks the gates that
+    // contribute `log_survival[k]` to a cone they are in.
+    let window = &gates[split..];
+    let words = window.len().div_ceil(64);
+    let mut log_survival = vec![0.0f64; window.len()];
+    let mut noisy = vec![0u64; words];
+    for (k, (g, &e)) in window.iter().zip(&errors[split..]).enumerate() {
+        if !matches!(g, Gate::Measure { .. }) && e > 0.0 {
+            log_survival[k] = (1.0 - e).ln();
+            noisy[k / 64] |= 1 << (k % 64);
         }
-        let mut log = 0.0f64;
-        for (g, &e) in gates[split..].iter().zip(&errors[split..]).rev() {
+    }
+
+    // `cones[l * words..(l + 1) * words]`: logical qubit `l`'s cone. Each
+    // walk stamps the qubits it activates with `l + 1`, so no reset is
+    // needed.
+    let n = model.num_vars();
+    let mut cones = vec![0u64; n * words];
+    let mut stamp = vec![0usize; compiled.circuit.num_qubits()];
+    for l in 0..n {
+        let cone = &mut cones[l * words..(l + 1) * words];
+        let tag = l + 1;
+        stamp[compiled.final_layout[l]] = tag;
+        for (k, g) in window.iter().enumerate().rev() {
             if matches!(g, Gate::Measure { .. }) {
                 continue;
             }
             let qs = g.qubits();
-            if qs.iter().any(|&q| active[q]) {
-                if e > 0.0 {
-                    log += (1.0 - e).ln();
-                }
+            if qs.iter().any(|&q| stamp[q] == tag) {
+                cone[k / 64] |= 1 << (k % 64);
                 for q in qs {
-                    active[q] = true;
+                    stamp[q] = tag;
                 }
+            }
+        }
+    }
+    let cone = |l: usize| &cones[l * words..(l + 1) * words];
+
+    // The survival of the term on qubits `i` and `j` (`i == j` for a
+    // linear term): its cone's `ln(1 − e)` summed from the last gate back.
+    let survival = |i: usize, j: usize| -> f64 {
+        let mut log = 0.0f64;
+        for w in (0..words).rev() {
+            let mut bits = (cone(i)[w] | cone(j)[w]) & noisy[w];
+            while bits != 0 {
+                let top = 63 - bits.leading_zeros() as usize;
+                bits &= !(1 << top);
+                log += log_survival[w * 64 + top];
             }
         }
         (prefix_log + log).exp()
     };
 
-    let z = (0..model.num_vars()).map(|i| cone(&[i])).collect();
-    let zz = model.couplings().map(|((i, j), _)| cone(&[i, j])).collect();
+    let z = (0..n).map(|i| survival(i, i)).collect();
+    let zz = model
+        .couplings()
+        .map(|((i, j), _)| survival(i, j))
+        .collect();
     Ok(LightconeFidelity { z, zz })
 }
 
@@ -396,7 +403,127 @@ mod tests {
     use super::*;
     use crate::analytic::term_expectations_p1;
     use fq_circuit::build_qaoa_circuit;
-    use fq_transpile::{compile, CompileOptions, Topology};
+    use fq_transpile::{compile, CompileOptions, GateDurations, LayoutStrategy, Topology};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The per-term walk: every term re-walks the window backwards from
+    /// its own qubits and takes `ln(1 − e)` of each cone gate as it goes.
+    /// [`lightcone_fidelities_truncated`] must return exactly its tables.
+    fn lightcone_fidelities_reference(
+        model: &IsingModel,
+        compiled: &Compiled,
+        device: &Device,
+        max_depth: usize,
+    ) -> LightconeFidelity {
+        let errors = gate_error_rates(compiled, device);
+        let gates = compiled.circuit.gates();
+        let width = compiled.circuit.num_qubits();
+        let split = gates.len().saturating_sub(max_depth);
+        let mut prefix_log = 0.0f64;
+        for (g, &e) in gates[..split].iter().zip(&errors[..split]) {
+            if !matches!(g, Gate::Measure { .. }) && e > 0.0 {
+                prefix_log += (1.0 - e).ln();
+            }
+        }
+        let cone = |seed: &[usize]| -> f64 {
+            let mut active = vec![false; width];
+            for &l in seed {
+                active[compiled.final_layout[l]] = true;
+            }
+            let mut log = 0.0f64;
+            for (g, &e) in gates[split..].iter().zip(&errors[split..]).rev() {
+                if matches!(g, Gate::Measure { .. }) {
+                    continue;
+                }
+                let qs = g.qubits();
+                if qs.iter().any(|&q| active[q]) {
+                    if e > 0.0 {
+                        log += (1.0 - e).ln();
+                    }
+                    for q in qs {
+                        active[q] = true;
+                    }
+                }
+            }
+            (prefix_log + log).exp()
+        };
+        let z = (0..model.num_vars()).map(|i| cone(&[i])).collect();
+        let zz = model.couplings().map(|((i, j), _)| cone(&[i, j])).collect();
+        LightconeFidelity { z, zz }
+    }
+
+    fn bits(cones: &LightconeFidelity) -> Vec<u64> {
+        cones
+            .z
+            .iter()
+            .chain(&cones.zz)
+            .map(|f| f.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn bitset_cones_equal_the_per_term_walk() {
+        // Noisy presets, an error-free device (every gate contributes
+        // nothing but still spreads the cone) and a very noisy one;
+        // compiled with and without cleanup, so SWAPs survive or not, and
+        // with or without measurements.
+        let mut devices = Device::all_ibm_machines();
+        devices.push(Device::ideal("ideal", Topology::falcon_27()));
+        devices.push(
+            Device::uniform(
+                "uniform_0.2",
+                Topology::grid(5, 6).unwrap(),
+                0.2,
+                0.05,
+                50.0,
+                GateDurations::default(),
+            )
+            .unwrap(),
+        );
+        let (mut swaps, mut long_windows) = (0, 0);
+        for case in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(0xC0_4E ^ case);
+            let n = rng.random_range(2..=14usize);
+            let mut m = IsingModel::new(n);
+            for i in 1..n {
+                m.set_coupling(rng.random_range(0..i), i, 1.0).unwrap();
+            }
+            for _ in 0..rng.random_range(0..=2 * n) {
+                let (i, j) = (rng.random_range(0..n), rng.random_range(0..n));
+                if i != j {
+                    m.set_coupling(i, j, -0.5).unwrap();
+                }
+            }
+            let mut qc = build_qaoa_circuit(&m, rng.random_range(1..=2usize)).unwrap();
+            if rng.random::<bool>() {
+                qc.measure_all();
+            }
+            let device = &devices[case as usize % devices.len()];
+            let options = CompileOptions {
+                layout: LayoutStrategy::NoiseAdaptive,
+                optimize: rng.random::<bool>(),
+            };
+            let c = compile(&qc, device, options).unwrap();
+            swaps += c.swap_count;
+            long_windows += usize::from(c.circuit.len() > 192);
+            for depth in [0, 1, 192, usize::MAX] {
+                let got = lightcone_fidelities_truncated(&m, &c, device, depth).unwrap();
+                let want = lightcone_fidelities_reference(&m, &c, device, depth);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "case {case}, {} n={n}, depth {depth}",
+                    device.name()
+                );
+            }
+        }
+        assert!(swaps > 0, "no case routed a SWAP");
+        assert!(
+            long_windows > 0,
+            "no circuit is longer than the 192-gate window"
+        );
+    }
 
     fn ring_model(n: usize) -> IsingModel {
         let mut m = IsingModel::new(n);

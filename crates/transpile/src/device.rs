@@ -7,6 +7,8 @@
 //! latency (§1, §2.2), per-machine quality factors chosen so the
 //! cross-machine spread of Fig. 13 is preserved.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -40,6 +42,9 @@ impl Default for GateDurations {
 
 /// A NISQ device: coupling topology plus per-element calibration.
 ///
+/// The topology (with its all-pairs distance table, the bulk of a
+/// device's memory) sits behind an [`Arc`], so clones share it.
+///
 /// # Example
 ///
 /// ```
@@ -54,7 +59,7 @@ impl Default for GateDurations {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Device {
     name: String,
-    topology: Topology,
+    topology: Arc<Topology>,
     cnot_error: Vec<f64>,
     readout_error: Vec<f64>,
     t1_us: Vec<f64>,
@@ -91,7 +96,7 @@ impl Device {
         let m = topology.edges().len();
         Ok(Device {
             name: name.into(),
-            topology,
+            topology: Arc::new(topology),
             cnot_error: vec![cnot_error; m],
             readout_error: vec![readout_error; n],
             t1_us: vec![t1_us; n],
@@ -107,7 +112,7 @@ impl Device {
         let m = topology.edges().len();
         Device {
             name: name.into(),
-            topology,
+            topology: Arc::new(topology),
             cnot_error: vec![0.0; m],
             readout_error: vec![0.0; n],
             t1_us: vec![f64::INFINITY; n],
@@ -143,7 +148,7 @@ impl Device {
         let t2_us = t1_us.iter().map(|&t| 0.8 * t).collect();
         Device {
             name: name.into(),
-            topology,
+            topology: Arc::new(topology),
             cnot_error,
             readout_error,
             t1_us,
@@ -289,12 +294,9 @@ impl Device {
     /// Panics if `{a, b}` is not a coupler of this device.
     #[must_use]
     pub fn cnot_error(&self, a: usize, b: usize) -> f64 {
-        let key = (a.min(b), a.max(b));
         let idx = self
             .topology
-            .edges()
-            .iter()
-            .position(|&e| e == key)
+            .coupler(a, b)
             .unwrap_or_else(|| panic!("({a}, {b}) is not a coupler of {}", self.name));
         self.cnot_error[idx]
     }
@@ -409,5 +411,65 @@ mod tests {
     fn cnot_error_panics_off_coupler() {
         let dev = Device::ibm_montreal();
         let _ = dev.cnot_error(0, 26);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a coupler")]
+    fn edge_fidelity_panics_off_coupler() {
+        let topo = Topology::heavy_hex_rows(&[5, 5]).unwrap();
+        let dev = Device::calibrated("hex", topo, 0.01, 0.02, 100.0, 9);
+        let _ = dev.edge_fidelity(0, 2);
+    }
+
+    /// The edge-list scan the coupler index replaced.
+    fn scanned_cnot_error(dev: &Device, a: usize, b: usize) -> Option<f64> {
+        let key = (a.min(b), a.max(b));
+        let edges = dev.topology().edges();
+        edges
+            .iter()
+            .position(|&e| e == key)
+            .map(|i| dev.cnot_error[i])
+    }
+
+    #[test]
+    fn coupler_lookups_equal_an_edge_list_scan() {
+        let mut devices = Device::all_ibm_machines();
+        devices.push(Device::grid_2500());
+        let generated = [
+            Topology::linear(2).unwrap(),
+            Topology::linear(17).unwrap(),
+            Topology::grid(1, 5).unwrap(),
+            Topology::grid(4, 7).unwrap(),
+            Topology::heavy_hex_rows(&[3]).unwrap(),
+            Topology::heavy_hex_rows(&[7, 9, 6]).unwrap(),
+            Topology::heavy_hex_rows(&[11, 11, 11, 11]).unwrap(),
+        ];
+        for (seed, topo) in generated.into_iter().enumerate() {
+            devices.push(Device::calibrated(
+                "generated",
+                topo,
+                0.01,
+                0.02,
+                100.0,
+                seed as u64,
+            ));
+        }
+        for dev in &devices {
+            let n = dev.num_qubits();
+            for a in 0..n {
+                // Every coupler both ways round, plus non-couplers near
+                // and far.
+                let near = a.saturating_sub(2)..(a + 3).min(n);
+                let others = dev.topology().neighbors(a).iter().copied();
+                for b in others.chain(near).chain([n - 1 - a]) {
+                    let scanned = scanned_cnot_error(dev, a, b);
+                    assert_eq!(dev.topology().are_adjacent(a, b), scanned.is_some());
+                    if let Some(e) = scanned {
+                        assert_eq!(dev.cnot_error(a, b).to_bits(), e.to_bits(), "{a}-{b}");
+                        assert_eq!(dev.edge_fidelity(a, b).to_bits(), (1.0 - e).to_bits());
+                    }
+                }
+            }
+        }
     }
 }

@@ -76,18 +76,20 @@ fn noise_adaptive(circuit: &QuantumCircuit, device: &Device) -> Vec<usize> {
 
     // Physical qubit quality: mean fidelity of incident couplers, weighted
     // by degree so well-connected qubits are preferred as region cores.
-    let quality = |q: usize| -> f64 {
-        let nb = topo.neighbors(q);
-        if nb.is_empty() {
-            return 0.0;
-        }
-        let mean: f64 =
-            nb.iter().map(|&r| device.edge_fidelity(q, r)).sum::<f64>() / nb.len() as f64;
-        mean * (1.0 + 0.1 * nb.len() as f64)
-    };
+    let quality: Vec<f64> = (0..topo.num_qubits())
+        .map(|q| {
+            let nb = topo.neighbors(q);
+            if nb.is_empty() {
+                return 0.0;
+            }
+            let mean: f64 =
+                nb.iter().map(|&r| device.edge_fidelity(q, r)).sum::<f64>() / nb.len() as f64;
+            mean * (1.0 + 0.1 * nb.len() as f64)
+        })
+        .collect();
 
     let seed = (0..topo.num_qubits())
-        .max_by(|&a, &b| quality(a).partial_cmp(&quality(b)).expect("finite"))
+        .max_by(|&a, &b| quality[a].partial_cmp(&quality[b]).expect("finite"))
         .unwrap_or(0);
 
     let mut region: Vec<usize> = vec![seed];
@@ -106,7 +108,7 @@ fn noise_adaptive(circuit: &QuantumCircuit, device: &Device) -> Vec<usize> {
                     .iter()
                     .filter(|&&x| in_region[x])
                     .count() as f64;
-                let score = quality(cand) + 0.5 * into_region;
+                let score = quality[cand] + 0.5 * into_region;
                 if best.is_none_or(|(_, s)| score > s) {
                     best = Some((cand, score));
                 }
@@ -165,45 +167,28 @@ fn noise_adaptive(circuit: &QuantumCircuit, device: &Device) -> Vec<usize> {
         }
     }
 
-    let region_set: std::collections::BTreeSet<usize> = region.iter().copied().collect();
+    let region_degree = |p: usize| topo.neighbors(p).iter().filter(|&&x| in_region[x]).count();
     let phys_root = region
         .iter()
         .copied()
-        .max_by_key(|&p| {
-            topo.neighbors(p)
-                .iter()
-                .filter(|&&x| region_set.contains(&x))
-                .count()
-        })
+        .max_by_key(|&p| region_degree(p))
         .expect("region is non-empty");
     let mut physical_order = Vec::with_capacity(n);
-    let mut seen_p: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+    let mut seen_p = vec![false; topo.num_qubits()];
     let mut pqueue = std::collections::VecDeque::from([phys_root]);
-    seen_p.insert(phys_root);
+    seen_p[phys_root] = true;
     while let Some(u) = pqueue.pop_front() {
         physical_order.push(u);
         let mut next: Vec<usize> = topo
             .neighbors(u)
             .iter()
             .copied()
-            .filter(|p| region_set.contains(p) && !seen_p.contains(p))
+            .filter(|&p| in_region[p] && !seen_p[p])
             .collect();
         // Prefer well-connected, healthy couplers first.
-        next.sort_by(|&a, &b| {
-            let ka = topo
-                .neighbors(a)
-                .iter()
-                .filter(|&&x| region_set.contains(&x))
-                .count();
-            let kb = topo
-                .neighbors(b)
-                .iter()
-                .filter(|&&x| region_set.contains(&x))
-                .count();
-            kb.cmp(&ka).then(a.cmp(&b))
-        });
+        next.sort_by(|&a, &b| region_degree(b).cmp(&region_degree(a)).then(a.cmp(&b)));
         for p in next {
-            seen_p.insert(p);
+            seen_p[p] = true;
             pqueue.push_back(p);
         }
     }

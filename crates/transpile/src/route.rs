@@ -39,13 +39,30 @@ pub struct Routed {
 /// The algorithm is deterministic: ties are broken by canonical edge
 /// order, so compilations are exactly reproducible.
 ///
+/// A routing step allocates nothing: every per-step buffer is reused,
+/// and a SWAP step touches only what the SWAP changed. Each candidate
+/// SWAP is scored from the front and look-ahead pairs that involve its
+/// two qubits, as integer changes to integer distance sums. Summing
+/// every pair's distance in `f64` would give the same sums (every
+/// partial sum of small integers is exact), so candidates compare, and
+/// ties break, exactly as if each were scored from scratch. The
+/// ARCHITECTURE "cold template path" section walks through a step.
+///
 /// # Errors
 ///
 /// Returns [`TranspileError::CircuitTooWide`] if the layout is shorter
 /// than the circuit width, [`TranspileError::QubitOutOfRange`] for layout
 /// entries beyond the device, [`TranspileError::InvalidParameters`] for a
-/// non-injective layout, and [`TranspileError::RoutingStuck`] if no
-/// progress is possible (cannot happen on a connected topology).
+/// non-injective layout, and [`TranspileError::RoutingStuck`] when the
+/// router gives up. [`Topology`] refuses disconnected maps, so on a real
+/// device that means one of two things: the router ran out of its step
+/// budget (`20 × gates × device qubits`), because SABRE's decay term
+/// resets whenever a gate executes and nothing else breaks an
+/// oscillation — about 1.3–1.9 in 10 000 never-seen 27-qubit QAOA
+/// templates do this — or only program-level SWAPs are blocked, which
+/// the router never moves qubits for. A release valve (route the
+/// closest front gate along a shortest path after a run of SWAPs
+/// without progress) is the open fix for the first.
 ///
 /// # Example
 ///
@@ -100,29 +117,13 @@ pub fn route(
         .copied()
         .filter(|g| !matches!(g, Gate::Measure { .. }))
         .collect();
-
-    // Per-qubit gate queues: gate g is ready when it is at the head of the
-    // queue of every qubit it touches.
-    let mut qubit_gates: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (gi, g) in body.iter().enumerate() {
-        for q in g.qubits() {
-            qubit_gates[q].push(gi);
-        }
-    }
-    let mut head = vec![0usize; n];
-    let mut done = vec![false; body.len()];
-    let mut remaining = body.len();
+    let mut sabre = Sabre::new(&body, topology, l2p, p2l);
 
     let mut out = QuantumCircuit::new(p_count);
     let mut decay = vec![1.0f64; p_count];
     let mut swap_count = 0usize;
-
-    let is_ready = |gi: usize, body: &[Gate], head: &[usize], qubit_gates: &[Vec<usize>]| {
-        body[gi]
-            .qubits()
-            .iter()
-            .all(|&q| qubit_gates[q].get(head[q]) == Some(&gi))
-    };
+    let mut remaining = body.len();
+    let mut layers_stale = true;
 
     let budget = 20 * body.len().max(1) * (p_count.max(4));
     let mut steps = 0usize;
@@ -135,131 +136,29 @@ pub fn route(
         }
 
         // Phase 1: drain every executable gate.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for q in 0..n {
-                while let Some(&gi) = qubit_gates[q].get(head[q]) {
-                    if !is_ready(gi, &body, &head, &qubit_gates) {
-                        break;
-                    }
-                    let g = body[gi];
-                    let executable = match g {
-                        Gate::Cx { control, target } => {
-                            topology.are_adjacent(l2p[control], l2p[target])
-                        }
-                        Gate::Swap { a, b } => topology.are_adjacent(l2p[a], l2p[b]),
-                        _ => true,
-                    };
-                    if !executable {
-                        break;
-                    }
-                    // Semantic gates (including program-level Swaps) never
-                    // change the mapping; only router-inserted SWAPs do.
-                    out.push(g.map_qubits(|lq| l2p[lq]))
-                        .map_err(TranspileError::Circuit)?;
-                    for gq in g.qubits() {
-                        head[gq] += 1;
-                    }
-                    done[gi] = true;
-                    remaining -= 1;
-                    progressed = true;
-                    decay.fill(1.0);
-                }
-            }
+        let executed = sabre.drain(&mut out)?;
+        if executed > 0 {
+            remaining -= executed;
+            decay.fill(1.0);
+            layers_stale = true;
         }
         if remaining == 0 {
             break;
         }
 
-        // Phase 2: the front layer is blocked; pick the best SWAP.
-        let mut front: Vec<(usize, usize)> = Vec::new();
-        for q in 0..n {
-            if let Some(&gi) = qubit_gates[q].get(head[q]) {
-                if is_ready(gi, &body, &head, &qubit_gates) {
-                    if let Gate::Cx { control, target } = body[gi] {
-                        let pair = (control.min(target), control.max(target));
-                        if !front.contains(&pair) {
-                            front.push(pair);
-                        }
-                    }
-                }
-            }
+        // Phase 2: the front layer is blocked; pick the best SWAP. Front
+        // and look-ahead change only when a gate executes.
+        if layers_stale {
+            sabre.rebuild_layers();
+            layers_stale = false;
         }
-        if front.is_empty() {
+        if sabre.front.is_empty() {
             return Err(TranspileError::RoutingStuck(
                 "no ready two-qubit gate while gates remain".into(),
             ));
         }
-
-        // Extended (look-ahead) set: the next two-qubit gates in program
-        // order that are not already in the front.
-        let mut extended: Vec<(usize, usize)> = Vec::new();
-        for (gi, g) in body.iter().enumerate() {
-            if extended.len() >= EXTENDED_SET_SIZE {
-                break;
-            }
-            if let Gate::Cx { control, target } = *g {
-                if done[gi] {
-                    continue;
-                }
-                let pair = (control.min(target), control.max(target));
-                if !front.contains(&pair) {
-                    extended.push(pair);
-                }
-            }
-        }
-
-        // Candidates: swaps on couplers incident to a front-gate qubit.
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for &(a, b) in &front {
-            for &lq in &[a, b] {
-                let p = l2p[lq];
-                for &p2 in topology.neighbors(p) {
-                    let key = (p.min(p2), p.max(p2));
-                    if !candidates.contains(&key) {
-                        candidates.push(key);
-                    }
-                }
-            }
-        }
-        candidates.sort_unstable();
-
-        let score_layout = |l2p_try: &[usize]| -> f64 {
-            let front_cost: f64 = front
-                .iter()
-                .map(|&(a, b)| topology.distance(l2p_try[a], l2p_try[b]) as f64)
-                .sum::<f64>()
-                / front.len() as f64;
-            let ext_cost: f64 = if extended.is_empty() {
-                0.0
-            } else {
-                extended
-                    .iter()
-                    .map(|&(a, b)| topology.distance(l2p_try[a], l2p_try[b]) as f64)
-                    .sum::<f64>()
-                    / extended.len() as f64
-            };
-            front_cost + EXTENDED_WEIGHT * ext_cost
-        };
-
-        let mut best: Option<((usize, usize), f64)> = None;
-        for &(p, p2) in &candidates {
-            let mut l2p_try = l2p.clone();
-            if let Some(l) = p2l[p] {
-                l2p_try[l] = p2;
-            }
-            if let Some(l) = p2l[p2] {
-                l2p_try[l] = p;
-            }
-            let s = score_layout(&l2p_try) * decay[p].max(decay[p2]);
-            if best.is_none_or(|(_, bs)| s < bs) {
-                best = Some(((p, p2), s));
-            }
-        }
-        let ((p, p2), _) = best.expect("candidates is non-empty");
+        let (p, p2) = sabre.best_swap(&decay);
         out.swap(p, p2).map_err(TranspileError::Circuit)?;
-        apply_swap(&mut l2p, &mut p2l, p, p2);
         decay[p] += DECAY_STEP;
         decay[p2] += DECAY_STEP;
         swap_count += 1;
@@ -275,28 +174,388 @@ pub fn route(
         })
         .collect();
     for lq in measured {
-        out.measure(l2p[lq]).map_err(TranspileError::Circuit)?;
+        out.measure(sabre.l2p[lq])
+            .map_err(TranspileError::Circuit)?;
     }
 
     Ok(Routed {
         circuit: out,
-        final_layout: l2p,
+        final_layout: sabre.l2p,
         swap_count,
     })
 }
 
-fn apply_swap(l2p: &mut [usize], p2l: &mut [Option<usize>], p: usize, p2: usize) {
-    let la = p2l[p];
-    let lb = p2l[p2];
-    p2l[p] = lb;
-    p2l[p2] = la;
-    if let Some(l) = la {
-        l2p[l] = p2;
+/// Per-qubit gate queues in one flat array: logical qubit `q`'s body
+/// gates, in program order, are `gates[start[q]..start[q + 1]]`, and
+/// `head[q]` indexes the first one not yet executed. Gate `g` is ready
+/// when it is at the head of the queue of every qubit it touches.
+struct Queues {
+    start: Vec<usize>,
+    gates: Vec<usize>,
+    head: Vec<usize>,
+}
+
+impl Queues {
+    fn new(body: &[Gate], n: usize) -> Queues {
+        let mut start = vec![0usize; n + 1];
+        for g in body {
+            for q in g.qubits() {
+                start[q + 1] += 1;
+            }
+        }
+        for q in 0..n {
+            start[q + 1] += start[q];
+        }
+        let mut head = start[..n].to_vec();
+        let mut gates = vec![0usize; start[n]];
+        for (gi, g) in body.iter().enumerate() {
+            for q in g.qubits() {
+                gates[head[q]] = gi;
+                head[q] += 1;
+            }
+        }
+        head.copy_from_slice(&start[..n]);
+        Queues { start, gates, head }
     }
-    if let Some(l) = lb {
-        l2p[l] = p;
+
+    fn head_gate(&self, q: usize) -> Option<usize> {
+        let h = self.head[q];
+        (h < self.start[q + 1]).then(|| self.gates[h])
+    }
+
+    fn is_ready(&self, gi: usize, body: &[Gate]) -> bool {
+        body[gi]
+            .qubits()
+            .iter()
+            .all(|&q| self.head_gate(q) == Some(gi))
     }
 }
+
+/// The router's state between steps; every buffer lives for the whole
+/// route.
+struct Sabre<'a> {
+    body: &'a [Gate],
+    topology: &'a Topology,
+    queues: Queues,
+    l2p: Vec<usize>,
+    p2l: Vec<Option<usize>>,
+    done: Vec<bool>,
+    /// Every body gate before this index has executed.
+    first_undone: usize,
+    /// Logical qubits whose head gate may have become executable since
+    /// it was last found blocked, as a bitset.
+    dirty: Vec<u64>,
+    /// Ready but blocked two-qubit pairs `(min, max)`, in qubit order.
+    front: Vec<(usize, usize)>,
+    /// The look-ahead window: the next [`EXTENDED_SET_SIZE`] unexecuted
+    /// CNOT pairs in program order that are not in the front.
+    extended: Vec<(usize, usize)>,
+    /// `front_partner[a] == b` iff `a` and `b` form a front pair.
+    front_partner: Vec<usize>,
+    /// Pair ids (front pairs first, then look-ahead pairs) touching
+    /// logical qubit `q`: `touch[touch_start[q]..touch_start[q + 1]]`.
+    touch_start: Vec<usize>,
+    touch: Vec<usize>,
+    /// Σ distance over the front and look-ahead pairs under `l2p`.
+    front_sum: usize,
+    extended_sum: usize,
+    /// The couplers in canonical `(a, b)` order: `by_rank[r]` is the
+    /// edge index of the `r`-th smallest coupler and `rank` its inverse,
+    /// so a bitset over ranks visits candidate SWAPs in tie-breaking
+    /// order.
+    by_rank: Vec<usize>,
+    rank: Vec<usize>,
+    candidates: Vec<u64>,
+}
+
+impl<'a> Sabre<'a> {
+    fn new(
+        body: &'a [Gate],
+        topology: &'a Topology,
+        l2p: Vec<usize>,
+        p2l: Vec<Option<usize>>,
+    ) -> Sabre<'a> {
+        let n = l2p.len();
+        let edges = topology.edges();
+        let mut by_rank: Vec<usize> = (0..edges.len()).collect();
+        by_rank.sort_unstable_by_key(|&c| edges[c]);
+        let mut rank = vec![0usize; edges.len()];
+        for (r, &c) in by_rank.iter().enumerate() {
+            rank[c] = r;
+        }
+        let mut dirty = vec![0u64; n.div_ceil(64)];
+        for q in 0..n {
+            set_bit(&mut dirty, q);
+        }
+        Sabre {
+            body,
+            topology,
+            queues: Queues::new(body, n),
+            l2p,
+            p2l,
+            done: vec![false; body.len()],
+            first_undone: 0,
+            dirty,
+            front: Vec::with_capacity(n / 2),
+            extended: Vec::with_capacity(EXTENDED_SET_SIZE),
+            front_partner: vec![usize::MAX; n],
+            touch_start: vec![0; n + 1],
+            touch: Vec::with_capacity(2 * (n / 2 + EXTENDED_SET_SIZE)),
+            front_sum: 0,
+            extended_sum: 0,
+            candidates: vec![0; edges.len().div_ceil(64)],
+            by_rank,
+            rank,
+        }
+    }
+
+    /// Executes every gate that can execute, in the pass order of a
+    /// sweep over all qubits repeated until a sweep executes nothing,
+    /// and returns how many executed. Only dirty qubits are visited:
+    /// any other qubit's head gate was blocked when last checked and
+    /// still is, so its check would be a no-op.
+    fn drain(&mut self, out: &mut QuantumCircuit) -> Result<usize, TranspileError> {
+        let mut executed = 0;
+        while let Some(mut q) = next_set_bit(&self.dirty, 0) {
+            loop {
+                while let Some(gi) = self.queues.head_gate(q) {
+                    if !self.queues.is_ready(gi, self.body) {
+                        break;
+                    }
+                    let g = self.body[gi];
+                    let executable = match g {
+                        Gate::Cx { control, target } => self
+                            .topology
+                            .are_adjacent(self.l2p[control], self.l2p[target]),
+                        Gate::Swap { a, b } => self.topology.are_adjacent(self.l2p[a], self.l2p[b]),
+                        _ => true,
+                    };
+                    if !executable {
+                        break;
+                    }
+                    // Semantic gates (including program-level Swaps) never
+                    // change the mapping; only router-inserted SWAPs do.
+                    out.push(g.map_qubits(|lq| self.l2p[lq]))
+                        .map_err(TranspileError::Circuit)?;
+                    for gq in g.qubits() {
+                        self.queues.head[gq] += 1;
+                    }
+                    self.done[gi] = true;
+                    executed += 1;
+                    // The operands' next gates are the only ones whose
+                    // readiness this can change.
+                    for gq in g.qubits() {
+                        self.mark_head_gate(gq);
+                    }
+                }
+                clear_bit(&mut self.dirty, q);
+                match next_set_bit(&self.dirty, q + 1) {
+                    Some(next) => q = next,
+                    None => break,
+                }
+            }
+        }
+        Ok(executed)
+    }
+
+    /// Marks the qubits of `lq`'s head gate dirty.
+    fn mark_head_gate(&mut self, lq: usize) {
+        if let Some(gi) = self.queues.head_gate(lq) {
+            for r in self.body[gi].qubits() {
+                set_bit(&mut self.dirty, r);
+            }
+        }
+    }
+
+    /// Recomputes the front layer, the look-ahead window, the pair
+    /// index and both distance sums after gates executed.
+    fn rebuild_layers(&mut self) {
+        for &(a, b) in &self.front {
+            self.front_partner[a] = usize::MAX;
+            self.front_partner[b] = usize::MAX;
+        }
+        self.front.clear();
+        for q in 0..self.l2p.len() {
+            if let Some(gi) = self.queues.head_gate(q) {
+                if let Gate::Cx { control, target } = self.body[gi] {
+                    // A ready CNOT heads both its queues; take it once, at
+                    // its lower qubit.
+                    if control.min(target) == q && self.queues.is_ready(gi, self.body) {
+                        let other = control.max(target);
+                        self.front.push((q, other));
+                        self.front_partner[q] = other;
+                        self.front_partner[other] = q;
+                    }
+                }
+            }
+        }
+
+        while self.done.get(self.first_undone) == Some(&true) {
+            self.first_undone += 1;
+        }
+        self.extended.clear();
+        for gi in self.first_undone..self.body.len() {
+            if self.extended.len() >= EXTENDED_SET_SIZE {
+                break;
+            }
+            if let Gate::Cx { control, target } = self.body[gi] {
+                if self.done[gi] {
+                    continue;
+                }
+                let pair = (control.min(target), control.max(target));
+                if self.front_partner[pair.0] != pair.1 {
+                    self.extended.push(pair);
+                }
+            }
+        }
+
+        // Counting sort of pair ids by qubit: count into `touch_start[q]`,
+        // turn counts into range ends, then fill each range from its end.
+        self.touch_start.fill(0);
+        for &(a, b) in self.front.iter().chain(&self.extended) {
+            self.touch_start[a] += 1;
+            self.touch_start[b] += 1;
+        }
+        for q in 0..self.l2p.len() {
+            self.touch_start[q + 1] += self.touch_start[q];
+        }
+        self.touch.clear();
+        self.touch.resize(self.touch_start[self.l2p.len()], 0);
+        let pairs = self.front.len() + self.extended.len();
+        for k in (0..pairs).rev() {
+            let (a, b) = self.pair(k);
+            for q in [a, b] {
+                self.touch_start[q] -= 1;
+                self.touch[self.touch_start[q]] = k;
+            }
+        }
+
+        let distance = |&(a, b): &(usize, usize)| self.topology.distance(self.l2p[a], self.l2p[b]);
+        self.front_sum = self.front.iter().map(distance).sum();
+        self.extended_sum = self.extended.iter().map(distance).sum();
+    }
+
+    /// Picks the SWAP SABRE would pick, applies it and returns it:
+    /// among the couplers incident to a front-gate qubit, the first in
+    /// canonical edge order with the lowest score × decay.
+    fn best_swap(&mut self, decay: &[f64]) -> (usize, usize) {
+        for &(a, b) in &self.front {
+            for lq in [a, b] {
+                for &c in self.topology.neighbor_couplers(self.l2p[lq]) {
+                    set_bit(&mut self.candidates, self.rank[c]);
+                }
+            }
+        }
+        // ((p, p2), score, front_sum, extended_sum) of the best so far.
+        let mut best: Option<((usize, usize), f64, usize, usize)> = None;
+        for w in 0..self.candidates.len() {
+            let mut bits = std::mem::take(&mut self.candidates[w]);
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (p, p2) = self.topology.edges()[self.by_rank[r]];
+                let (front_sum, extended_sum) = self.sums_after_swap(p, p2);
+                let score = self.score(front_sum, extended_sum) * decay[p].max(decay[p2]);
+                if best.is_none_or(|(_, s, _, _)| score < s) {
+                    best = Some(((p, p2), score, front_sum, extended_sum));
+                }
+            }
+        }
+        let ((p, p2), _, front_sum, extended_sum) = best.expect("candidates is non-empty");
+        self.apply_swap(p, p2);
+        self.front_sum = front_sum;
+        self.extended_sum = extended_sum;
+        (p, p2)
+    }
+
+    /// The front and look-ahead distance sums if physical `p` and `p2`
+    /// swapped: only pairs with exactly one of the two moved qubits
+    /// change (a pair of both rides along).
+    fn sums_after_swap(&self, p: usize, p2: usize) -> (usize, usize) {
+        let mut front = self.front_sum as i64;
+        let mut extended = self.extended_sum as i64;
+        for (moved, from, to, partner) in [
+            (self.p2l[p], p, p2, self.p2l[p2]),
+            (self.p2l[p2], p2, p, self.p2l[p]),
+        ] {
+            let Some(l) = moved else { continue };
+            for &k in &self.touch[self.touch_start[l]..self.touch_start[l + 1]] {
+                let (a, b) = self.pair(k);
+                let other = if a == l { b } else { a };
+                if Some(other) == partner {
+                    continue;
+                }
+                let at = self.l2p[other];
+                let delta =
+                    self.topology.distance(at, to) as i64 - self.topology.distance(at, from) as i64;
+                if k < self.front.len() {
+                    front += delta;
+                } else {
+                    extended += delta;
+                }
+            }
+        }
+        (front as usize, extended as usize)
+    }
+
+    fn pair(&self, k: usize) -> (usize, usize) {
+        match self.front.get(k) {
+            Some(&pair) => pair,
+            None => self.extended[k - self.front.len()],
+        }
+    }
+
+    /// SABRE's cost of a layout with these distance sums: mean front
+    /// distance plus [`EXTENDED_WEIGHT`] × mean look-ahead distance.
+    fn score(&self, front_sum: usize, extended_sum: usize) -> f64 {
+        let front_cost = front_sum as f64 / self.front.len() as f64;
+        let extended_cost = if self.extended.is_empty() {
+            0.0
+        } else {
+            extended_sum as f64 / self.extended.len() as f64
+        };
+        front_cost + EXTENDED_WEIGHT * extended_cost
+    }
+
+    /// Applies a router SWAP and marks the heads of the two moved qubits.
+    fn apply_swap(&mut self, p: usize, p2: usize) {
+        let la = self.p2l[p];
+        let lb = self.p2l[p2];
+        self.p2l[p] = lb;
+        self.p2l[p2] = la;
+        if let Some(l) = la {
+            self.l2p[l] = p2;
+            self.mark_head_gate(l);
+        }
+        if let Some(l) = lb {
+            self.l2p[l] = p;
+            self.mark_head_gate(l);
+        }
+    }
+}
+
+fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (!0u64 << (from % 64));
+    loop {
+        if word != 0 {
+            return Some(w * 64 + word.trailing_zeros() as usize);
+        }
+        w += 1;
+        word = *bits.get(w)?;
+    }
+}
+
+fn set_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] |= 1 << (i % 64);
+}
+
+fn clear_bit(bits: &mut [u64], i: usize) {
+    bits[i / 64] &= !(1 << (i % 64));
+}
+
+#[cfg(test)]
+mod props;
 
 #[cfg(test)]
 mod tests {

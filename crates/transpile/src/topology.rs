@@ -40,6 +40,10 @@ pub const FALCON_27_EDGES: [(usize, usize); 28] = [
 /// An undirected coupling graph over physical qubits, with precomputed
 /// all-pairs shortest-path distances (the routing heuristic's oracle).
 ///
+/// Every adjacency entry also records its coupler's index in
+/// [`Topology::edges`], so a per-coupler lookup (a CNOT's calibration)
+/// reads one qubit's few neighbours instead of scanning the edge list.
+///
 /// # Example
 ///
 /// ```
@@ -56,6 +60,9 @@ pub struct Topology {
     num_qubits: usize,
     edges: Vec<(usize, usize)>,
     adjacency: Vec<Vec<usize>>,
+    /// `couplers[q][k]` is the index in `edges` of the coupler between
+    /// `q` and `adjacency[q][k]`.
+    couplers: Vec<Vec<usize>>,
     distance: Vec<Vec<u16>>,
 }
 
@@ -73,6 +80,7 @@ impl Topology {
         edges: impl IntoIterator<Item = (usize, usize)>,
     ) -> Result<Topology, TranspileError> {
         let mut adjacency = vec![Vec::new(); num_qubits];
+        let mut couplers = vec![Vec::new(); num_qubits];
         let mut canonical = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
         for (a, b) in edges {
@@ -91,6 +99,8 @@ impl Topology {
             }
             let key = (a.min(b), a.max(b));
             if seen.insert(key) {
+                couplers[key.0].push(canonical.len());
+                couplers[key.1].push(canonical.len());
                 canonical.push(key);
                 adjacency[key.0].push(key.1);
                 adjacency[key.1].push(key.0);
@@ -101,6 +111,7 @@ impl Topology {
             num_qubits,
             edges: canonical,
             adjacency,
+            couplers,
             distance,
         })
     }
@@ -268,6 +279,23 @@ impl Topology {
     #[must_use]
     pub fn neighbors(&self, q: usize) -> &[usize] {
         &self.adjacency[q]
+    }
+
+    /// The index in [`Topology::edges`] of each of `q`'s couplers,
+    /// parallel to [`Topology::neighbors`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub(crate) fn neighbor_couplers(&self, q: usize) -> &[usize] {
+        &self.couplers[q]
+    }
+
+    /// The index in [`Topology::edges`] of the coupler between `a` and
+    /// `b`, if they share one.
+    pub(crate) fn coupler(&self, a: usize, b: usize) -> Option<usize> {
+        let k = self.adjacency.get(a)?.iter().position(|&x| x == b)?;
+        Some(self.couplers[a][k])
     }
 
     /// Whether two physical qubits share a coupler.
