@@ -2,6 +2,8 @@
 //! freezing any qubit do? Compares the MaxDegree policy (the paper's)
 //! against MaxAbsCoupling and Random over the BA(d=1) suite.
 
+#![forbid(unsafe_code)]
+
 use fq_bench::{ba_instance, fmt, frozen_summary, write_csv, ARG_SIZES};
 use fq_transpile::{compile_invocations, Device};
 use frozenqubits::{FrozenQubitsConfig, HotspotStrategy};

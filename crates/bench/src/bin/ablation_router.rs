@@ -2,6 +2,8 @@
 //! how much does the noise-adaptive layout matter? Compares trivial vs
 //! noise-adaptive layout, with and without the cleanup passes.
 
+#![forbid(unsafe_code)]
+
 use fq_bench::{ba_instance, write_csv, ARG_SIZES};
 use fq_circuit::build_qaoa_circuit;
 use fq_transpile::{compile, CompileOptions, Device, LayoutStrategy};

@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the paper in sequence, writing
 //! CSVs to `results/`. The practical-scale problem size can be reduced for
 //! smoke runs via `FQ_SCALE_N` (default 500).
+#![forbid(unsafe_code)]
+
 fn main() {
     use fq_bench::{figures, scale};
     figures::fig01b_powerlaw();

@@ -24,6 +24,8 @@
 //! perf trajectory across PRs accumulates (machine-readable, append-style
 //! via version control history rather than in-file concatenation).
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -1,4 +1,6 @@
 //! Regenerates the corresponding table/figure; see `fq_bench::figures`.
+#![forbid(unsafe_code)]
+
 fn main() {
     fq_bench::figures::fig01b_powerlaw();
 }

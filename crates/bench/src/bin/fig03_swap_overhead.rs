@@ -2,6 +2,8 @@
 //!
 //! Pass sizes as arguments to override the default sweep, e.g.
 //! `cargo run --release -p fq-bench --bin fig03_swap_overhead -- 10 50 100 200`.
+#![forbid(unsafe_code)]
+
 fn main() {
     let sizes: Vec<usize> = std::env::args()
         .skip(1)

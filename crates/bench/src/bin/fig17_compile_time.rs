@@ -1,4 +1,6 @@
 //! Regenerates the corresponding figure; see `fq_bench::scale`.
+#![forbid(unsafe_code)]
+
 fn main() {
     fq_bench::scale::fig17_compile_time();
 }

@@ -23,6 +23,8 @@
 //!
 //! The JSON lands at the workspace root as `BENCH_landscape.json`.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -55,7 +55,7 @@ use std::sync::OnceLock;
 
 use fq_graphs::{gen, to_ising_pm1, to_ising_unit, Graph};
 use fq_ising::{IsingModel, OutputDistribution, SpinVec};
-use fq_transpile::Device;
+use fq_transpile::{Device, Fnv64};
 
 use crate::pipeline::summarize_outcomes;
 use crate::plan::{plan_execution_cached, ShapeSignature, TemplateCache};
@@ -305,12 +305,6 @@ impl DeviceSpec {
     pub fn from_name(name: &str) -> Option<DeviceSpec> {
         DeviceSpec::ALL.into_iter().find(|d| d.name() == name)
     }
-
-    /// Maps an already-built device back to its preset, if it is one.
-    #[must_use]
-    pub fn from_device(device: &Device) -> Option<DeviceSpec> {
-        DeviceSpec::from_name(device.name())
-    }
 }
 
 /// What a job computes.
@@ -423,7 +417,7 @@ impl JobSpec {
     /// *template* many specs may share; this names the *spec* itself.
     #[must_use]
     pub fn spec_fingerprint(&self) -> String {
-        let mut h = crate::store::Fnv64::new();
+        let mut h = Fnv64::new();
         h.write(self.to_json().as_bytes());
         format!("{:016x}", h.finish())
     }
@@ -454,7 +448,7 @@ impl JobSpec {
         if self.config.tier.is_exact() {
             return Ok(base);
         }
-        let mut h = crate::store::Fnv64::new();
+        let mut h = Fnv64::new();
         h.write(base.as_bytes());
         h.write(self.config.tier.name().as_bytes());
         Ok(format!("{:016x}", h.finish()))
@@ -1311,7 +1305,7 @@ mod tests {
         // The algorithm is pinned (FNV-1a over the canonical JSON), so
         // the value itself is part of the corpus contract: a silent
         // hasher change would orphan every recorded suite result.
-        let mut h = crate::store::Fnv64::new();
+        let mut h = Fnv64::new();
         h.write(spec.to_json().as_bytes());
         assert_eq!(spec.spec_fingerprint(), format!("{:016x}", h.finish()));
     }
@@ -1440,7 +1434,6 @@ mod tests {
         for spec in DeviceSpec::ALL {
             assert_eq!(spec.build().name(), spec.name());
             assert_eq!(DeviceSpec::from_name(spec.name()), Some(spec));
-            assert_eq!(DeviceSpec::from_device(&spec.build()), Some(spec));
         }
         assert_eq!(DeviceSpec::from_name("ibm_atlantis"), None);
     }

@@ -10,11 +10,11 @@
 //! samples one plan. The batch engine calls the same per-branch
 //! functions directly, so the two paths cannot diverge.
 
+use fq_optim::par_collect;
 use fq_transpile::Device;
 
-use crate::executor::{execute_branch, par_collect, sample_branch};
+use crate::executor::{execute_branch, sample_branch};
 use crate::plan::ExecutionPlan;
-use crate::store::KeyedDevice;
 use crate::{BranchOutcome, BranchSamples, ExecutorKind, FqError, FrozenQubitsConfig};
 
 /// A serializable backend choice for a [`JobSpec`](crate::api::JobSpec).
@@ -109,7 +109,6 @@ impl Backend {
         config: &FrozenQubitsConfig,
     ) -> Result<Vec<BranchOutcome>, FqError> {
         let n = plan.num_branches();
-        let device = KeyedDevice::new(device);
         par_collect(self.executor.threads(n), n, |b| {
             execute_branch(plan, b, device, config, self.spec)
         })

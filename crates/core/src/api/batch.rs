@@ -5,13 +5,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use fq_ising::IsingModel;
+use fq_optim::par_collect;
 use fq_transpile::Device;
 
 use super::wire::problem_to_value;
 use super::{Job, JobUnit, UnitOutput, UnitRole};
-use crate::executor::{execute_branch, par_collect, sample_branch};
+use crate::executor::{execute_branch, sample_branch};
 use crate::plan::{plan_execution_cached, CacheStats, ExecutionPlan, TemplateCache};
-use crate::store::{DiskStore, KeyedDevice, MemoryStore, TemplateStore, TieredStore};
+use crate::store::{DiskStore, MemoryStore, TemplateStore, TieredStore};
 use crate::{BranchOutcome, BranchSamples, ExecutorKind, FqError, JobResult, JobSpec};
 
 /// Runs many [`JobSpec`]s against one shared [`TemplateCache`],
@@ -134,12 +135,15 @@ impl BatchRunner {
     ///
     /// `0` (the default) selects automatically: the `FQ_THREADS`
     /// environment variable if it parses as an integer ≥ 1, else one
-    /// worker per available core. `1` forces fully sequential in-order
-    /// execution (useful as a bit-identical reference and for
-    /// benchmarking speedups). Values above the available parallelism are
-    /// accepted but add nothing; the pool is additionally clamped to the
-    /// number of work items, so oversized values never spawn idle
-    /// threads.
+    /// worker per available core. `1` plans every unit and runs every
+    /// branch in order on the caller's thread. It does not reach inside a
+    /// branch: an exact-tier branch whose γ-row scan is large enough
+    /// (about 2·10⁶ estimated flops) still fans its rows over
+    /// [`auto_threads`](crate::auto_threads) workers, which only
+    /// `FQ_THREADS` caps. Results are bit-identical at every width.
+    /// Values above the available parallelism are accepted but add
+    /// nothing; the pool is additionally clamped to the number of work
+    /// items, so oversized values never spawn idle threads.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> BatchRunner {
         self.threads = threads;
@@ -248,13 +252,7 @@ impl BatchRunner {
             total_items += items;
         }
 
-        // Phase 2 — drain all branches of all jobs from one pool. A job's
-        // device fingerprint keys its branches' noise-table lookups, so it
-        // is hashed once per job rather than once per branch.
-        let devices: Vec<Option<KeyedDevice<'_>>> = jobs
-            .iter()
-            .map(|job| job.as_ref().ok().map(|job| KeyedDevice::new(&job.device)))
-            .collect();
+        // Phase 2 — drain all branches of all jobs from one pool.
         let threads = ExecutorKind::Threads(self.threads).threads(total_items);
         let branch_results: Vec<Result<BranchResult, FqError>> =
             par_collect(threads, total_items, |item| {
@@ -265,14 +263,10 @@ impl BatchRunner {
                 let plan = pu.plan.as_ref().expect("runnable units have plans");
                 let job = jobs[pu.job].as_ref().expect("runnable units have jobs");
                 match pu.unit.role {
-                    UnitRole::Baseline | UnitRole::Frozen => execute_branch(
-                        plan,
-                        branch,
-                        devices[pu.job].expect("runnable units have jobs"),
-                        &pu.unit.config,
-                        job.backend,
-                    )
-                    .map(BranchResult::Outcome),
+                    UnitRole::Baseline | UnitRole::Frozen => {
+                        execute_branch(plan, branch, &job.device, &pu.unit.config, job.backend)
+                            .map(BranchResult::Outcome)
+                    }
                     UnitRole::Sample { shots } => sample_branch(
                         plan,
                         branch,

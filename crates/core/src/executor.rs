@@ -8,13 +8,10 @@
 //! A branch makes two run-time choices, both plain data: its
 //! [`BackendSpec`] picks the noise estimator, and an [`ExecutorKind`]
 //! picks how many branches run at once. Branch jobs never communicate,
-//! so they parallelize embarrassingly: [`par_collect`] fans them out
-//! across scoped worker threads (the offline toolchain has no rayon,
-//! but the work-stealing loop below serves the same role), and every
-//! width produces **bit-identical** outcomes: each branch's arithmetic
-//! is self-contained and results are aggregated in branch order.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! so they parallelize embarrassingly: [`fq_optim::par_collect`] fans
+//! them out across scoped worker threads, and every width produces
+//! **bit-identical** outcomes: each branch's arithmetic is
+//! self-contained and results are aggregated in branch order.
 
 use fq_circuit::build_qaoa_circuit;
 use fq_ising::{OutputDistribution, Spin};
@@ -28,7 +25,6 @@ use fq_transpile::Device;
 use crate::api::{BackendSpec, ErrorModel};
 use crate::pipeline::{optimize_layers, polish_parameters_tiered, CircuitMetrics};
 use crate::plan::ExecutionPlan;
-use crate::store::KeyedDevice;
 use crate::{optimize_parameters_prepared, FqError, FrozenQubitsConfig};
 
 /// Everything measured about one executed branch of a plan.
@@ -125,100 +121,6 @@ pub fn auto_threads() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
 }
 
-/// Runs `job` over `0..n` on `threads` scoped workers and returns all
-/// results in index order — the work-stealing primitive under
-/// [`Backend`]'s branch fan-out and the batch engine's jobs×branches
-/// pool.
-///
-/// Workers claim indices from one shared atomic counter, so a slow item
-/// never serializes its successors; each result lands in a single
-/// pre-sized buffer through its claimed index (disjoint writes — no
-/// per-item lock, no per-item allocation).
-#[allow(unsafe_code)] // sole caller of `disjoint::Writer::write`; see the SAFETY note below
-pub(crate) fn par_collect<T: Send>(
-    threads: usize,
-    n: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let writer = disjoint::Writer::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = job(i);
-                // SAFETY: `i` came from `fetch_add` on a counter that
-                // starts at 0 and only grows, so every in-range index is
-                // claimed by exactly one worker — writes are disjoint —
-                // and `i < n` was checked above. The scope joins all
-                // workers before `slots` is read again.
-                unsafe { writer.write(i, value) };
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed by a worker"))
-        .collect()
-}
-
-/// The one unsafe corner of the crate: a shared writer over a pre-sized
-/// `Option<T>` buffer whose callers guarantee index-disjoint writes.
-///
-/// Equivalent in spirit to `rayon`'s collect-into-vec plumbing (the
-/// offline toolchain has no rayon): claiming indices through an atomic
-/// counter makes each slot exclusively owned by one worker, so no
-/// per-slot lock is needed.
-#[allow(unsafe_code)]
-mod disjoint {
-    use std::marker::PhantomData;
-
-    pub(super) struct Writer<'a, T> {
-        ptr: *mut Option<T>,
-        len: usize,
-        _buf: PhantomData<&'a mut [Option<T>]>,
-    }
-
-    // SAFETY: sharing the writer across threads only permits `write`,
-    // whose contract makes all concurrent accesses disjoint; `T: Send`
-    // lets the written values cross threads.
-    unsafe impl<T: Send> Sync for Writer<'_, T> {}
-
-    impl<'a, T> Writer<'a, T> {
-        /// Wraps `buf`, borrowing it mutably for the writer's lifetime so
-        /// no safe code can alias the slots while workers write.
-        pub(super) fn new(buf: &'a mut [Option<T>]) -> Writer<'a, T> {
-            Writer {
-                ptr: buf.as_mut_ptr(),
-                len: buf.len(),
-                _buf: PhantomData,
-            }
-        }
-
-        /// Writes `value` into slot `i`.
-        ///
-        /// # Safety
-        ///
-        /// `i` must be in bounds and no two calls (across all threads) may
-        /// use the same `i`; the buffer must not be read until all writers
-        /// are joined. The overwritten `None` needs no drop.
-        pub(super) unsafe fn write(&self, i: usize, value: T) {
-            debug_assert!(i < self.len, "disjoint write out of bounds");
-            // SAFETY: in-bounds per the contract; exclusive access to this
-            // slot per the disjoint-index contract.
-            unsafe { self.ptr.add(i).write(Some(value)) };
-        }
-    }
-}
-
 /// The shared per-branch analytic job: optimize, evaluate against the
 /// template's noise tables under `backend`'s estimator. (`pub(crate)`:
 /// the batch engine drives branches directly through its flattened
@@ -226,7 +128,7 @@ mod disjoint {
 pub(crate) fn execute_branch(
     plan: &ExecutionPlan,
     branch: usize,
-    device: KeyedDevice<'_>,
+    device: &Device,
     config: &FrozenQubitsConfig,
     backend: BackendSpec,
 ) -> Result<BranchOutcome, FqError> {
@@ -388,15 +290,29 @@ mod tests {
         assert!(seq.iter().enumerate().all(|(i, o)| o.branch == i));
     }
 
+    // The branch pool as `Backend::run` sizes it: the executor's thread
+    // rule feeding the shared `fq_optim::par_collect`.
+    fn branch_pool<T: Send>(n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        fq_optim::par_collect(ExecutorKind::Threads(4).threads(n), n, job)
+    }
+
+    #[test]
+    fn par_collect_preserves_index_order() {
+        assert_eq!(
+            branch_pool(64, |i| i * 3),
+            (0..64).map(|i| i * 3).collect::<Vec<_>>()
+        );
+        assert_eq!(branch_pool(0, |i| i), Vec::<usize>::new());
+    }
+
     // `Backend::run`'s path: collect every branch's result, then the
     // first error by index wins.
     #[test]
     fn par_map_preserves_order_and_first_error() {
-        let ok: Result<Vec<usize>, FqError> =
-            par_collect(4, 32, |i| Ok(i * i)).into_iter().collect();
+        let ok: Result<Vec<usize>, FqError> = branch_pool(32, |i| Ok(i * i)).into_iter().collect();
         assert_eq!(ok.unwrap(), (0..32).map(|i| i * i).collect::<Vec<_>>());
 
-        let err: Result<Vec<usize>, FqError> = par_collect(4, 8, |i| {
+        let err: Result<Vec<usize>, FqError> = branch_pool(8, |i| {
             if i >= 3 {
                 Err(FqError::InvalidConfig(format!("branch {i}")))
             } else {
@@ -427,15 +343,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_collect_preserves_index_order() {
-        assert_eq!(
-            par_collect(4, 64, |i| i * 3),
-            (0..64).map(|i| i * 3).collect::<Vec<_>>()
-        );
-        assert_eq!(par_collect(4, 0, |i| i), Vec::<usize>::new());
-    }
-
     // The old `execute_branch` evaluated the ideal expectation twice —
     // once as a scalar, once per term. The single-pass assembly must be
     // bit-identical to that two-call path, at p = 1 and p ≥ 2.
@@ -451,9 +358,7 @@ mod tests {
             };
             let plan = plan_execution(&parent, &device, &cfg).unwrap();
             for b in 0..plan.num_branches() {
-                let out =
-                    execute_branch(&plan, b, KeyedDevice::new(&device), &cfg, BackendSpec::Sim)
-                        .unwrap();
+                let out = execute_branch(&plan, b, &device, &cfg, BackendSpec::Sim).unwrap();
                 let model = plan.branch(b).problem.model();
                 let old_ev = if p == 1 {
                     expectation_p1(model, out.gammas[0], out.betas[0]).unwrap()

@@ -66,10 +66,7 @@
 //! # Ok::<(), frozenqubits::FqError>(())
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// documented disjoint-write result buffer in `executor::disjoint`, which
-// opts in explicitly with `#[allow(unsafe_code)]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

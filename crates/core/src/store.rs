@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
 
-use fq_transpile::{CompileOptions, Device};
+use fq_transpile::{CompileOptions, Device, Fnv64};
 use serde::json::Value;
 
 use crate::api::wire::{compile_from_value, compile_to_value};
@@ -51,103 +51,6 @@ pub const TEMPLATE_WIRE_VERSION: u64 = 1;
 
 /// File suffix of on-disk artifacts.
 const ARTIFACT_SUFFIX: &str = ".fqt.json";
-
-// --------------------------------------------------------------------
-// Stable hashing
-// --------------------------------------------------------------------
-
-/// A stable 64-bit FNV-1a hasher. Template fingerprints name files on
-/// disk and artifacts on the wire (and scenario-suite fingerprints name
-/// corpus entries across runs), so they must not depend on
-/// `DefaultHasher`'s unstable algorithm.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Fnv64 {
-        Fnv64(Self::OFFSET)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.write_u64(x as u64);
-    }
-
-    fn write_f64(&mut self, x: f64) {
-        self.write_u64(x.to_bits());
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A stable fingerprint of every device property that layout, routing,
-/// scheduling or the noise models read: topology, per-edge CNOT errors,
-/// per-qubit readout errors and coherence times, and gate durations.
-/// Two same-named but differently calibrated devices get different
-/// fingerprints, so their templates can never collide — in memory, on
-/// disk, or across shards.
-pub(crate) fn device_fingerprint(device: &Device) -> u64 {
-    let mut h = Fnv64::new();
-    let n = device.num_qubits();
-    h.write_usize(n);
-    for &(a, b) in device.topology().edges() {
-        h.write_usize(a);
-        h.write_usize(b);
-        h.write_f64(device.cnot_error(a, b));
-    }
-    for q in 0..n {
-        h.write_f64(device.readout_error(q));
-        h.write_f64(device.t1_us(q));
-        h.write_f64(device.t2_us(q));
-    }
-    let durations = device.durations();
-    h.write_f64(durations.single_ns);
-    h.write_f64(durations.cx_ns);
-    h.write_f64(durations.readout_ns);
-    h.finish()
-}
-
-/// A borrowed device together with its [`device_fingerprint`], computed
-/// once per job instead of once per branch: the hash walks the whole
-/// calibration byte by byte, a large share of a warm fast-tier branch's
-/// cost.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct KeyedDevice<'a> {
-    device: &'a Device,
-    fingerprint: u64,
-}
-
-impl<'a> KeyedDevice<'a> {
-    pub(crate) fn new(device: &'a Device) -> KeyedDevice<'a> {
-        KeyedDevice {
-            device,
-            fingerprint: device_fingerprint(device),
-        }
-    }
-
-    pub(crate) fn device(&self) -> &'a Device {
-        self.device
-    }
-
-    pub(crate) fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-}
 
 // --------------------------------------------------------------------
 // TemplateKey
@@ -183,7 +86,7 @@ impl TemplateKey {
         TemplateKey {
             shape,
             device: device.name().to_string(),
-            device_fingerprint: device_fingerprint(device),
+            device_fingerprint: device.fingerprint(),
             layers,
             options,
         }

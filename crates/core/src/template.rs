@@ -19,7 +19,6 @@ use fq_transpile::{compile, CompileOptions, Compiled, Device};
 use serde::json::Value;
 
 use crate::pipeline::{metrics_of, CircuitMetrics};
-use crate::store::KeyedDevice;
 use crate::FqError;
 
 /// Branch-invariant tables of the analytic execution path, computed once
@@ -187,7 +186,7 @@ impl CompiledTemplate {
         &self,
         model: &IsingModel,
         layers: usize,
-        device: KeyedDevice<'_>,
+        device: &Device,
         lightcone_depth: usize,
     ) -> Result<Arc<NoiseTables>, FqError> {
         let depth = lightcone_depth.min(self.compiled.circuit.len());
@@ -201,7 +200,6 @@ impl CompiledTemplate {
         }
         // Only for its checks: the tables read no angle.
         self.edit_for(model)?;
-        let device = device.device();
         let tables = Arc::new(NoiseTables {
             fid: fidelity_model(&self.compiled, device),
             cones: lightcone_fidelities_truncated(model, &self.compiled, device, depth)?,

@@ -26,7 +26,6 @@ use rand::{RngExt, SeedableRng};
 use super::NoiseTables;
 use crate::api::ErrorModel;
 use crate::pipeline::{metrics_of, CircuitMetrics};
-use crate::store::KeyedDevice;
 use crate::{
     plan_execution, plan_execution_cached, BackendSpec, ExecutorKind, FqError, FrozenQubitsConfig,
     ShapeSignature, TemplateArtifact, TemplateCache, TemplateKey,
@@ -115,7 +114,7 @@ fn shared_tables_equal_per_branch_tables_bit_for_bit() {
             let template = plan.template_for(b);
             let edited = template.edit_for(model).expect("sibling fits its template");
             let full = template
-                .noise_tables(model, case.p, KeyedDevice::new(&case.device), usize::MAX)
+                .noise_tables(model, case.p, &case.device, usize::MAX)
                 .expect("tables build");
             assert_eq!(
                 fid_bits(&full.fid),
@@ -134,7 +133,7 @@ fn shared_tables_equal_per_branch_tables_bit_for_bit() {
                 metric_bits(&metrics_of(model, case.p, &edited))
             );
             let truncated = template
-                .noise_tables(model, case.p, KeyedDevice::new(&case.device), tier_depth)
+                .noise_tables(model, case.p, &case.device, tier_depth)
                 .expect("tables build");
             let direct =
                 lightcone_fidelities_truncated(model, &edited, &case.device, tier_depth).unwrap();
@@ -142,7 +141,7 @@ fn shared_tables_equal_per_branch_tables_bit_for_bit() {
             // The process-fidelity model reads the depth-0 entry: all it
             // reads besides cones is depth-free.
             let global = template
-                .noise_tables(model, case.p, KeyedDevice::new(&case.device), 0)
+                .noise_tables(model, case.p, &case.device, 0)
                 .expect("tables build");
             assert_eq!(fid_bits(&global.fid), fid_bits(&full.fid));
             assert_eq!(global.eps_log.to_bits(), full.eps_log.to_bits());

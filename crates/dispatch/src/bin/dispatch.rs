@@ -19,6 +19,8 @@
 //! `POST /v1/shards` here and is presented to shards on sentinel
 //! template pushes — run one token cluster-wide.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

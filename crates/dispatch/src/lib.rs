@@ -54,7 +54,7 @@
 //! --shard 127.0.0.1:8701 --shard 127.0.0.1:8702` (see the README's
 //! "Running a cluster").
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod forward;

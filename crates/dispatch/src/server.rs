@@ -31,7 +31,7 @@ use fq_serve::jobs::Jobs;
 use fq_serve::listener::{Limits, Listener};
 use fq_serve::wire::{healthz_body, WIRE_V};
 use fq_serve::worker::WorkerPool;
-use frozenqubits::{FqError, JobId, JobSpec};
+use frozenqubits::{FqError, JobSpec};
 use serde::json::Value;
 
 use crate::forward::{forward_job, ConnPool, ForwardPolicy, Metrics};
@@ -264,22 +264,10 @@ fn handle_request(state: &DispatchState, request: &Request) -> Response {
             ),
         },
         (method, "/v1/shards") => method_not_allowed(method, "GET, POST"),
-        (method, path) => {
-            if let Some(raw_id) = path.strip_prefix("/v1/jobs/") {
-                if raw_id.is_empty() || raw_id.contains('/') {
-                    return not_found(path);
-                }
-                if method != "GET" {
-                    return method_not_allowed(method, "GET");
-                }
-                return match raw_id.parse::<JobId>() {
-                    Ok(id) => state.jobs.poll(id),
-                    Err(FqError::Serde(message)) => error_response(400, "bad_request", &message),
-                    Err(other) => error_response(400, "bad_request", &other.to_string()),
-                };
-            }
-            not_found(path)
-        }
+        (_, path) => match path.strip_prefix("/v1/jobs/") {
+            Some(raw_id) => state.jobs.poll_request(request, raw_id),
+            None => not_found(path),
+        },
     }
 }
 

@@ -25,7 +25,7 @@
 //! every hook is a skipped branch on a `None` — release binaries pay
 //! nothing, pinned by the entire existing test suite running unchanged.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod plan;

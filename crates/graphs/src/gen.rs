@@ -123,89 +123,6 @@ pub fn complete(n: usize) -> Graph {
     g
 }
 
-/// An Erdős–Rényi `G(n, p)` graph (not used by the paper's headline
-/// figures, provided for ablation workloads).
-#[must_use]
-pub fn erdos_renyi(n: usize, p: f64, seed: u64) -> Graph {
-    let p = p.clamp(0.0, 1.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = Graph::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.random::<f64>() < p {
-                g.add_edge(i, j).expect("simple by construction");
-            }
-        }
-    }
-    g
-}
-
-/// Generates a power-law graph via the **erased configuration model**:
-/// node degrees are sampled from a discrete power law `P(d) ∝ d^{−alpha}`
-/// (truncated at `n − 1`), stubs are paired uniformly, and self-loops /
-/// parallel edges are erased.
-///
-/// Unlike Barabási–Albert (whose exponent is fixed at 3 asymptotically),
-/// this generator targets an arbitrary exponent — useful for matching
-/// measured real-world distributions such as the airport network's.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InfeasibleParameters`] unless `n ≥ 2` and
-/// `alpha > 1`.
-///
-/// # Example
-///
-/// ```
-/// use fq_graphs::gen::powerlaw_configuration;
-/// use fq_graphs::powerlaw::degree_stats;
-///
-/// let g = powerlaw_configuration(400, 2.2, 5)?;
-/// let stats = degree_stats(&g);
-/// assert!(stats.max > 10 * stats.min.max(1)); // heavy tail
-/// # Ok::<(), fq_graphs::GraphError>(())
-/// ```
-pub fn powerlaw_configuration(n: usize, alpha: f64, seed: u64) -> Result<Graph, GraphError> {
-    if n < 2 || alpha <= 1.0 {
-        return Err(GraphError::InfeasibleParameters(format!(
-            "configuration model needs n >= 2 and alpha > 1, got n={n}, alpha={alpha}"
-        )));
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let max_degree = n - 1;
-    // Inverse-CDF sampling of the zeta-like distribution over 1..=max.
-    let weights: Vec<f64> = (1..=max_degree).map(|d| (d as f64).powf(-alpha)).collect();
-    let total: f64 = weights.iter().sum();
-    let sample_degree = |rng: &mut StdRng| -> usize {
-        let mut u = rng.random::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
-            u -= w;
-            if u <= 0.0 {
-                return i + 1;
-            }
-        }
-        max_degree
-    };
-    let mut degrees: Vec<usize> = (0..n).map(|_| sample_degree(&mut rng)).collect();
-    if degrees.iter().sum::<usize>() % 2 == 1 {
-        degrees[0] += 1; // even stub count
-    }
-    let mut stubs: Vec<usize> = degrees
-        .iter()
-        .enumerate()
-        .flat_map(|(v, &d)| std::iter::repeat_n(v, d))
-        .collect();
-    stubs.shuffle(&mut rng);
-    let mut g = Graph::new(n);
-    for pair in stubs.chunks_exact(2) {
-        let (a, b) = (pair[0], pair[1]);
-        if a != b && !g.has_edge(a, b) {
-            g.add_edge(a, b).expect("checked simple");
-        }
-    }
-    Ok(g)
-}
-
 /// The cycle `C_n`.
 ///
 /// # Panics
@@ -306,45 +223,6 @@ mod tests {
     fn complete_graph_edge_count() {
         assert_eq!(complete(10).num_edges(), 45);
         assert_eq!(complete(1).num_edges(), 0);
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        assert_eq!(erdos_renyi(10, 0.0, 1).num_edges(), 0);
-        assert_eq!(erdos_renyi(10, 1.0, 1).num_edges(), 45);
-    }
-
-    #[test]
-    fn configuration_model_has_heavy_tail() {
-        let g = powerlaw_configuration(500, 2.0, 1).unwrap();
-        let stats = crate::powerlaw::degree_stats(&g);
-        assert!(stats.max >= 20, "max degree {}", stats.max);
-        assert!(stats.gini > 0.2, "gini {}", stats.gini);
-    }
-
-    #[test]
-    fn configuration_model_exponent_tracks_target() {
-        // Steeper target exponent -> lighter tail.
-        let heavy = powerlaw_configuration(800, 1.8, 2).unwrap();
-        let light = powerlaw_configuration(800, 3.5, 2).unwrap();
-        let h = crate::powerlaw::degree_stats(&heavy);
-        let l = crate::powerlaw::degree_stats(&light);
-        assert!(h.max > l.max, "heavy max {} vs light max {}", h.max, l.max);
-    }
-
-    #[test]
-    fn configuration_model_is_simple_and_seeded() {
-        let a = powerlaw_configuration(100, 2.5, 7).unwrap();
-        let b = powerlaw_configuration(100, 2.5, 7).unwrap();
-        assert_eq!(a, b);
-        // Simple graph: canonical edges, no duplicates (enforced by Graph).
-        assert!(a.edges().iter().all(|&(i, j)| i < j));
-    }
-
-    #[test]
-    fn configuration_model_rejects_bad_parameters() {
-        assert!(powerlaw_configuration(1, 2.0, 0).is_err());
-        assert!(powerlaw_configuration(10, 1.0, 0).is_err());
     }
 
     #[test]

@@ -119,18 +119,6 @@ pub fn hotspots(graph: &Graph, k: usize) -> Vec<usize> {
     graph.nodes_by_degree().into_iter().take(k).collect()
 }
 
-/// How many edges are eliminated by freezing the given node set: incident
-/// edges counted once even if both endpoints are frozen.
-#[must_use]
-pub fn edges_dropped_by_freezing(graph: &Graph, frozen: &[usize]) -> usize {
-    let frozen_set: std::collections::BTreeSet<usize> = frozen.iter().copied().collect();
-    graph
-        .edges()
-        .iter()
-        .filter(|&&(i, j)| frozen_set.contains(&i) || frozen_set.contains(&j))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,13 +156,6 @@ mod tests {
     fn hotspots_are_highest_degree() {
         let g = gen::star(10);
         assert_eq!(hotspots(&g, 1), vec![0]);
-        assert_eq!(edges_dropped_by_freezing(&g, &[0]), 9);
-    }
-
-    #[test]
-    fn freezing_two_adjacent_nodes_counts_shared_edge_once() {
-        let g = gen::path(3); // edges (0,1), (1,2)
-        assert_eq!(edges_dropped_by_freezing(&g, &[0, 1]), 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`symmetry`] — the spin-flip symmetry theorem of §3.7.2 used to prune
 //!   half of the sub-problems;
 //! * [`qubo`] / [`maxcut`] — conversions from the QUBO and Max-Cut encodings;
-//! * [`solve`] — exact, annealing and greedy classical solvers used to obtain
+//! * [`solve`] — exact and annealing classical solvers used to obtain
 //!   `C_min` for the Approximation-Ratio metrics;
 //! * [`distribution`] — measurement-outcome distributions and expectation
 //!   values.

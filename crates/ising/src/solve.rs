@@ -3,8 +3,7 @@
 //!
 //! * [`exact_solve`] — exhaustive Gray-code search, exact up to 30 variables;
 //! * [`simulated_annealing`] — the standard workhorse for the 500-qubit
-//!   practical-scale study of §6, where exhaustive search is impossible;
-//! * [`greedy_descent`] — restarted single-spin-flip local search.
+//!   practical-scale study of §6, where exhaustive search is impossible.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -170,158 +169,6 @@ pub fn simulated_annealing(
     Ok(best.expect("at least one restart"))
 }
 
-/// Restarted steepest-descent local search over single spin flips.
-/// Deterministic for a fixed `seed`.
-///
-/// # Errors
-///
-/// Returns [`IsingError::Empty`] for zero-variable models.
-pub fn greedy_descent(
-    model: &IsingModel,
-    restarts: usize,
-    seed: u64,
-) -> Result<(SpinVec, f64), IsingError> {
-    let n = model.num_vars();
-    if n == 0 {
-        return Err(IsingError::Empty);
-    }
-    let adj = model.adjacency();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<(SpinVec, f64)> = None;
-    for _ in 0..restarts.max(1) {
-        let mut z: SpinVec = (0..n)
-            .map(|_| {
-                if rng.random::<bool>() {
-                    Spin::UP
-                } else {
-                    Spin::DOWN
-                }
-            })
-            .collect();
-        let mut energy = model.energy(&z)?;
-        energy += descend(model, &adj, &mut z);
-        if best.as_ref().is_none_or(|(_, e)| energy < *e) {
-            best = Some((z, energy));
-        }
-    }
-    Ok(best.expect("at least one restart"))
-}
-
-/// Configuration for [`tabu_search`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TabuConfig {
-    /// Total single-flip moves to attempt.
-    pub iterations: usize,
-    /// How many moves a flipped variable stays tabu.
-    pub tenure: usize,
-    /// Independent restarts.
-    pub restarts: usize,
-}
-
-impl Default for TabuConfig {
-    fn default() -> Self {
-        TabuConfig {
-            iterations: 2_000,
-            tenure: 10,
-            restarts: 2,
-        }
-    }
-}
-
-/// Minimizes `C(z)` with tabu search: best-improvement single-spin flips,
-/// a recency-based tabu list, and the standard aspiration criterion (a
-/// tabu move is allowed if it beats the best solution seen). Deterministic
-/// for a fixed `seed`.
-///
-/// Tabu search escapes the local minima that trap [`greedy_descent`] and
-/// typically matches [`simulated_annealing`] on frustrated instances with
-/// far fewer energy evaluations.
-///
-/// # Errors
-///
-/// Returns [`IsingError::Empty`] for zero-variable models.
-///
-/// # Example
-///
-/// ```
-/// use fq_ising::solve::{tabu_search, TabuConfig};
-/// use fq_ising::IsingModel;
-///
-/// let mut m = IsingModel::new(4);
-/// for i in 0..4 {
-///     m.set_coupling(i, (i + 1) % 4, 1.0)?; // antiferromagnetic ring
-/// }
-/// let (_, energy) = tabu_search(&m, &TabuConfig::default(), 1)?;
-/// assert_eq!(energy, -4.0);
-/// # Ok::<(), fq_ising::IsingError>(())
-/// ```
-pub fn tabu_search(
-    model: &IsingModel,
-    config: &TabuConfig,
-    seed: u64,
-) -> Result<(SpinVec, f64), IsingError> {
-    let n = model.num_vars();
-    if n == 0 {
-        return Err(IsingError::Empty);
-    }
-    let adj = model.adjacency();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<(SpinVec, f64)> = None;
-
-    for _ in 0..config.restarts.max(1) {
-        let mut z: SpinVec = (0..n)
-            .map(|_| {
-                if rng.random::<bool>() {
-                    Spin::UP
-                } else {
-                    Spin::DOWN
-                }
-            })
-            .collect();
-        let mut energy = model.energy(&z)?;
-        let mut local_best = energy;
-        let mut tabu_until = vec![0usize; n];
-        // A tenure close to n makes nearly every variable tabu and forces
-        // deterministic cycling; cap it well below the variable count and
-        // jitter it so cycles break.
-        let base_tenure = config.tenure.min((n / 3).max(1));
-
-        for step in 1..=config.iterations.max(1) {
-            // Best admissible flip (non-tabu, or aspirating).
-            let mut chosen: Option<(usize, f64)> = None;
-            for k in 0..n {
-                let mut local = model.linear(k);
-                for &(j, jij) in &adj[k] {
-                    local += jij * z.spin(j).as_f64();
-                }
-                let delta = -2.0 * local * z.spin(k).as_f64();
-                let is_tabu = tabu_until[k] > step;
-                let aspirates = energy + delta < local_best - 1e-12;
-                if is_tabu && !aspirates {
-                    continue;
-                }
-                if chosen.is_none_or(|(_, d)| delta < d) {
-                    chosen = Some((k, delta));
-                }
-            }
-            let Some((k, delta)) = chosen else { break };
-            z.flip(k);
-            energy += delta;
-            tabu_until[k] = step + base_tenure + rng.random_range(0..=base_tenure);
-            if energy < local_best {
-                local_best = energy;
-            }
-            if best.as_ref().is_none_or(|(_, e)| energy < *e) {
-                best = Some((z.clone(), energy));
-            }
-        }
-        if best.as_ref().is_none_or(|(_, e)| energy < *e) {
-            best = Some((z, energy));
-        }
-    }
-    Ok(best.expect("at least one restart"))
-}
-
 /// Flips spins while any flip improves; returns the total energy change.
 fn descend(model: &IsingModel, adj: &[Vec<(usize, f64)>], z: &mut SpinVec) -> f64 {
     let mut total = 0.0;
@@ -423,50 +270,6 @@ mod tests {
         let b = simulated_annealing(&m, &AnnealConfig::default(), 3).unwrap();
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
-    }
-
-    #[test]
-    fn greedy_reaches_a_local_minimum() {
-        let m = frustrated_ring(8);
-        let (z, e) = greedy_descent(&m, 5, 11).unwrap();
-        assert!((m.energy(&z).unwrap() - e).abs() < 1e-12);
-        // No single flip improves.
-        for k in 0..8 {
-            assert!(m.flip_delta(&z, k).unwrap() >= -1e-12);
-        }
-    }
-
-    #[test]
-    fn tabu_matches_exact_on_frustrated_rings() {
-        for n in [8usize, 11, 14] {
-            let m = frustrated_ring(n);
-            let exact = exact_solve(&m).unwrap();
-            let (z, e) = tabu_search(&m, &TabuConfig::default(), 5).unwrap();
-            assert!(
-                (e - exact.energy).abs() < 1e-9,
-                "n={n}: tabu {e} vs {}",
-                exact.energy
-            );
-            assert!((m.energy(&z).unwrap() - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn tabu_is_deterministic_per_seed() {
-        let m = frustrated_ring(12);
-        let a = tabu_search(&m, &TabuConfig::default(), 9).unwrap();
-        let b = tabu_search(&m, &TabuConfig::default(), 9).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn tabu_escapes_greedy_traps() {
-        // On a larger frustrated instance, tabu should never do worse than
-        // single-restart greedy from the same seed.
-        let m = frustrated_ring(20);
-        let (_, greedy_e) = greedy_descent(&m, 1, 2).unwrap();
-        let (_, tabu_e) = tabu_search(&m, &TabuConfig::default(), 2).unwrap();
-        assert!(tabu_e <= greedy_e + 1e-12);
     }
 
     #[test]

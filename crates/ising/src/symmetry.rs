@@ -78,36 +78,6 @@ pub fn representative_masks(m: usize) -> Vec<u64> {
     (0..(1u64 << m)).filter(|mask| mask & 1 == 0).collect()
 }
 
-/// Counts the global minima of a small model by exhaustive search, used to
-/// demonstrate the theorem's corollary that symmetric models have an even
-/// number of minima.
-///
-/// # Errors
-///
-/// Returns [`IsingError::ProblemTooLarge`] for models with more than 24
-/// variables.
-pub fn count_global_minima(model: &IsingModel) -> Result<usize, IsingError> {
-    let n = model.num_vars();
-    if n > 24 {
-        return Err(IsingError::ProblemTooLarge {
-            num_vars: n,
-            limit: 24,
-        });
-    }
-    let mut best = f64::INFINITY;
-    let mut count = 0usize;
-    for idx in 0..(1u64 << n) {
-        let e = model.energy(&SpinVec::from_index(idx, n))?;
-        if e < best - 1e-12 {
-            best = e;
-            count = 1;
-        } else if (e - best).abs() <= 1e-12 {
-            count += 1;
-        }
-    }
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +105,6 @@ mod tests {
         m.set_linear(2, 0.5).unwrap();
         assert!(!is_spin_flip_symmetric(&m));
         assert!(!verify_spin_flip_symmetry(&m).unwrap());
-    }
-
-    #[test]
-    fn symmetric_models_have_even_minima_count() {
-        let m = symmetric_model();
-        let c = count_global_minima(&m).unwrap();
-        assert_eq!(c % 2, 0);
-        assert!(c >= 2);
     }
 
     #[test]

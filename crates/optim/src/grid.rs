@@ -2,9 +2,6 @@
 //! landscape study, which compares the baseline's blurred landscape with
 //! FrozenQubits' sharpened one over a 50×50 `(γ, β)` grid.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 
 /// A sampled 2-D objective landscape.
@@ -116,11 +113,10 @@ pub fn grid_axis(lo: f64, hi: f64, resolution: usize) -> Vec<f64> {
 /// (`fq_sim::analytic::PreparedP1::row`) plus vectorized per-β assembly
 /// in fixed-width lanes (`fq_sim::analytic::P1Row::eval_lanes`).
 ///
-/// With `threads >= 2` the γ rows fan across up to `threads` OS threads:
-/// rows are claimed from an atomic counter and computed independently
-/// (γ rows share no state). `threads <= 1` is a plain sequential loop
-/// with no thread overhead. This crate has no ambient thread-count
-/// policy; callers pass one in (the pipeline passes
+/// The γ rows share no state, so they fan across up to `threads` OS
+/// threads through [`par_collect`](crate::par_collect); `threads <= 1`
+/// is a plain sequential loop with no thread overhead. This crate has no
+/// ambient thread-count policy; callers pass one in (the pipeline passes
 /// `frozenqubits::auto_threads()`, which honors `FQ_THREADS`).
 ///
 /// The grid, visiting order, and strict-improvement tie-breaking are
@@ -166,38 +162,12 @@ pub fn grid_scan_2d_rows<R>(
     check_ranges(gamma_range, beta_range);
     let gammas = grid_axis(gamma_range.0, gamma_range.1, resolution);
     let betas = grid_axis(beta_range.0, beta_range.1, resolution);
-    let row = |g: f64| {
-        let ctx = prepare_row(g);
+    let values = crate::par_collect(threads, resolution, |i| {
+        let ctx = prepare_row(gammas[i]);
         let mut out = vec![0.0f64; resolution];
         eval_row(&ctx, &betas, &mut out);
         out
-    };
-    let workers = threads.min(resolution);
-    if workers <= 1 {
-        let values = gammas.iter().map(|&g| row(g)).collect();
-        return assemble(gammas, betas, values);
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<f64>>>> = (0..resolution).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= resolution {
-                    break;
-                }
-                *slots[i].lock().expect("row slot lock") = Some(row(gammas[i]));
-            });
-        }
     });
-    let values = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("row slot lock")
-                .expect("every row index below resolution was claimed")
-        })
-        .collect();
     assemble(gammas, betas, values)
 }
 
@@ -311,6 +281,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn finds_grid_minimum() {

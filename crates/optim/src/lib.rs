@@ -13,7 +13,9 @@
 //!   per-row hoisting and an optional thread fan-out: the scan that
 //!   seeds every exact p = 1 parameter optimization;
 //! * [`grid_scan_2d_coarse_to_fine`] — a coarse pass plus a local
-//!   refinement, the approximate QoS tiers' loop-perforated scan.
+//!   refinement, the approximate QoS tiers' loop-perforated scan;
+//! * [`par_collect`] — the index-claiming thread pool under the row
+//!   scan and the engine's branch and batch fan-out.
 //!
 //! # Example
 //!
@@ -35,12 +37,14 @@
 
 mod grid;
 mod nm;
+mod par;
 
 pub use grid::{
     grid_axis, grid_scan_2d, grid_scan_2d_coarse_to_fine, grid_scan_2d_rows, CoarseToFineScan,
     GridScan,
 };
 pub use nm::{nelder_mead, NelderMeadOptions};
+pub use par::par_collect;
 
 use serde::{Deserialize, Serialize};
 

@@ -20,6 +20,8 @@
 //! pushes require the matching bearer token. Everything else is
 //! in-memory and safe to kill.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Duration;
 

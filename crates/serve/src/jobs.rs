@@ -13,7 +13,9 @@ use std::time::Duration;
 use frozenqubits::{FqError, JobId, JobResult};
 use serde::json::Value;
 
-use crate::error::{error_body, error_response, kind_name, status_for};
+use crate::error::{
+    error_body, error_response, kind_name, method_not_allowed, not_found, status_for,
+};
 use crate::http::{Request, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::store::{JobState, Lookup, Registry};
@@ -169,6 +171,27 @@ impl<T, R: JobOutcome> Jobs<T, R> {
                 .with_header("location", format!("/v1/jobs/{id}"))
                 .with_header("fq-job-id", id.to_string()),
             None => error_response(500, "internal", "job vanished from the registry"),
+        }
+    }
+
+    /// A request whose path is `/v1/jobs/` followed by `raw_id`, on
+    /// either server: `404` for an empty or nested id, `405` with
+    /// `Allow: GET` for any other method, `400` with `JobId::from_str`'s
+    /// own message for an id that does not parse, and [`Jobs::poll`] for
+    /// the rest.
+    pub fn poll_request(&self, request: &Request, raw_id: &str) -> Response {
+        if raw_id.is_empty() || raw_id.contains('/') {
+            return not_found(&request.path);
+        }
+        if request.method != "GET" {
+            return method_not_allowed(&request.method, "GET");
+        }
+        match raw_id.parse::<JobId>() {
+            Ok(id) => self.poll(id),
+            // The parse error's own text, without the generic serde-error
+            // prefix: one source for the expected-format message.
+            Err(FqError::Serde(message)) => error_response(400, "bad_request", &message),
+            Err(other) => error_response(400, "bad_request", &other.to_string()),
         }
     }
 

@@ -55,7 +55,7 @@
 //! Or from the shell: `cargo run --release -p fq-serve --bin serve`,
 //! then `curl` the endpoints (see the README's "Running the service").
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
@@ -64,6 +64,7 @@ pub mod http;
 pub mod jobs;
 pub mod listener;
 mod queue;
+#[cfg(test)]
 mod router;
 mod server;
 mod store;

@@ -1,8 +1,7 @@
-//! Route resolution: `(method, path)` → what the server should do.
+//! Unit tests of the shard's routing table: the `(method, path)` match
+//! in `server::handle_request`, answered in-process without a socket.
 //!
-//! The surface is tiny and versioned under `/v1`:
-//!
-//! | method | path                  | route                          |
+//! | method | path                  | served by                      |
 //! |--------|-----------------------|--------------------------------|
 //! | POST   | `/v1/jobs`            | submit a job (sync/async)      |
 //! | GET    | `/v1/jobs/{id}`       | poll a submitted job           |
@@ -13,170 +12,109 @@
 //! | POST   | `/v1/templates`       | push a template artifact       |
 //!
 //! Known paths with the wrong method get `405` with an `Allow` header;
-//! everything else is `404`. Trailing slashes are not aliased — the
-//! wire format is pinned, and so are the paths.
+//! everything else is `404`. Trailing slashes are not aliased.
 
-use frozenqubits::JobId;
-
-/// What a request resolves to.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Route {
-    /// `GET /v1/healthz`.
-    Healthz,
-    /// `GET /v1/stats`.
-    Stats,
-    /// `POST /v1/jobs`.
-    Submit,
-    /// `GET /v1/jobs/{id}`.
-    Job(JobId),
-    /// A `/v1/jobs/{id}` target whose id does not parse, carrying the
-    /// parse error's own message. → `400`.
-    MalformedJobId(String),
-    /// `GET /v1/templates`: the resident-template index (fingerprint +
-    /// recency, hottest first) a peer shard pulls to plan its warm set;
-    /// `?limit=K` keeps the first `K` rows.
-    TemplateIndex,
-    /// `GET /v1/templates/{fingerprint}`: one serialized template
-    /// artifact.
-    Template(String),
-    /// `POST /v1/templates`: push a serialized template artifact into
-    /// this shard's store (the receive half of warm transfer).
-    TemplatePush,
-    /// A `/v1/templates/{fingerprint}` target whose fingerprint is not
-    /// 16 lower-case hex digits. → `400`.
-    MalformedFingerprint(String),
-    /// A known path with the wrong method. → `405` + `Allow`.
-    MethodNotAllowed {
-        /// The methods the path does accept.
-        allow: &'static str,
-    },
-    /// No such path. → `404`.
-    NotFound,
-}
-
-/// Resolves `(method, path)` to a [`Route`].
-pub(crate) fn route(method: &str, path: &str) -> Route {
-    match path {
-        "/v1/healthz" => match method {
-            "GET" => Route::Healthz,
-            _ => Route::MethodNotAllowed { allow: "GET" },
-        },
-        "/v1/stats" => match method {
-            "GET" => Route::Stats,
-            _ => Route::MethodNotAllowed { allow: "GET" },
-        },
-        "/v1/jobs" => match method {
-            "POST" => Route::Submit,
-            _ => Route::MethodNotAllowed { allow: "POST" },
-        },
-        "/v1/templates" => match method {
-            "GET" => Route::TemplateIndex,
-            "POST" => Route::TemplatePush,
-            _ => Route::MethodNotAllowed { allow: "GET, POST" },
-        },
-        _ => {
-            if let Some(raw_id) = path.strip_prefix("/v1/jobs/") {
-                if raw_id.is_empty() || raw_id.contains('/') {
-                    return Route::NotFound;
-                }
-                if method != "GET" {
-                    return Route::MethodNotAllowed { allow: "GET" };
-                }
-                return match raw_id.parse::<JobId>() {
-                    Ok(id) => Route::Job(id),
-                    // Keep `JobId::FromStr`'s message (the single source
-                    // of the expected-format text), without the generic
-                    // serde-error prefix.
-                    Err(frozenqubits::FqError::Serde(message)) => Route::MalformedJobId(message),
-                    Err(other) => Route::MalformedJobId(other.to_string()),
-                };
-            }
-            if let Some(raw_fp) = path.strip_prefix("/v1/templates/") {
-                if raw_fp.is_empty() || raw_fp.contains('/') {
-                    return Route::NotFound;
-                }
-                if method != "GET" {
-                    return Route::MethodNotAllowed { allow: "GET" };
-                }
-                // One source for the format check: the core validator
-                // the stores themselves use.
-                return if frozenqubits::is_template_fingerprint(raw_fp) {
-                    Route::Template(raw_fp.to_string())
-                } else {
-                    Route::MalformedFingerprint(format!(
-                        "malformed template fingerprint `{raw_fp}` (expected 16 lower-case hex digits)"
-                    ))
-                };
-            }
-            Route::NotFound
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::http::Response;
+    use crate::server::respond;
+    use crate::wire::healthz_body;
+    use frozenqubits::JobId;
+
+    fn allow(response: &Response) -> Option<&str> {
+        response
+            .extra_headers
+            .iter()
+            .find(|(name, _)| *name == "allow")
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// Asserts a `405` whose `Allow` header lists `allowed`.
+    fn assert_405(method: &str, path: &str, allowed: &str) {
+        let response = respond(method, path);
+        assert_eq!(response.status, 405, "{method} {path}: {}", response.body);
+        assert_eq!(allow(&response), Some(allowed), "{method} {path}");
+    }
+
+    /// Asserts the `404` of a path no route serves.
+    fn assert_no_route(path: &str) {
+        let response = respond("GET", path);
+        assert_eq!(response.status, 404, "GET {path}: {}", response.body);
+        assert!(
+            response.body.contains(&format!("no route for `{path}`")),
+            "GET {path}: {}",
+            response.body
+        );
+    }
 
     #[test]
     fn routes_the_published_surface() {
-        assert_eq!(route("GET", "/v1/healthz"), Route::Healthz);
-        assert_eq!(route("GET", "/v1/stats"), Route::Stats);
-        assert_eq!(route("POST", "/v1/jobs"), Route::Submit);
-        assert_eq!(
-            route("GET", "/v1/jobs/job-000000000000002a"),
-            Route::Job(JobId::new(42))
+        let healthz = respond("GET", "/v1/healthz");
+        assert_eq!((healthz.status, healthz.body), (200, healthz_body()));
+        let stats = respond("GET", "/v1/stats");
+        assert_eq!(stats.status, 200, "{}", stats.body);
+        assert!(stats.body.contains("\"queue\""), "{}", stats.body);
+        // An empty body reaches the submit path and fails its spec parse.
+        let submit = respond("POST", "/v1/jobs");
+        assert_eq!(submit.status, 400, "{}", submit.body);
+        assert!(submit.body.contains("\"serde\""), "{}", submit.body);
+        // The id parses: the poll answers for job 42, which was never issued.
+        let poll = respond("GET", "/v1/jobs/job-000000000000002a");
+        assert_eq!(poll.status, 404, "{}", poll.body);
+        assert!(
+            poll.body
+                .contains(&format!("no such job `{}`", JobId::new(42))),
+            "{}",
+            poll.body
         );
     }
 
     #[test]
     fn rejects_wrong_methods_with_allow() {
-        assert_eq!(
-            route("DELETE", "/v1/jobs"),
-            Route::MethodNotAllowed { allow: "POST" }
-        );
-        assert_eq!(
-            route("POST", "/v1/stats"),
-            Route::MethodNotAllowed { allow: "GET" }
-        );
-        assert_eq!(
-            route("POST", "/v1/jobs/job-000000000000002a"),
-            Route::MethodNotAllowed { allow: "GET" }
-        );
+        assert_405("DELETE", "/v1/jobs", "POST");
+        assert_405("POST", "/v1/stats", "GET");
+        assert_405("POST", "/v1/jobs/job-000000000000002a", "GET");
     }
 
     #[test]
     fn routes_the_template_surface() {
-        assert_eq!(route("GET", "/v1/templates"), Route::TemplateIndex);
-        assert_eq!(route("POST", "/v1/templates"), Route::TemplatePush);
-        assert_eq!(
-            route("GET", "/v1/templates/00c0ffee00c0ffee"),
-            Route::Template("00c0ffee00c0ffee".into())
+        let index = respond("GET", "/v1/templates");
+        assert_eq!(index.status, 200, "{}", index.body);
+        // An empty body reaches the push handler, which refuses it.
+        let push = respond("POST", "/v1/templates");
+        assert_eq!(push.status, 400, "{}", push.body);
+        let artifact = respond("GET", "/v1/templates/00c0ffee00c0ffee");
+        assert_eq!(artifact.status, 404, "{}", artifact.body);
+        assert!(
+            artifact
+                .body
+                .contains("no template `00c0ffee00c0ffee` resident"),
+            "{}",
+            artifact.body
         );
-        assert_eq!(
-            route("DELETE", "/v1/templates"),
-            Route::MethodNotAllowed { allow: "GET, POST" }
+        assert_405("DELETE", "/v1/templates", "GET, POST");
+        assert_405("POST", "/v1/templates/00c0ffee00c0ffee", "GET");
+        let malformed = respond("GET", "/v1/templates/UPPER-not-hex");
+        assert_eq!(malformed.status, 400, "{}", malformed.body);
+        assert!(
+            malformed.body.contains("16 lower-case hex"),
+            "{}",
+            malformed.body
         );
-        assert_eq!(
-            route("POST", "/v1/templates/00c0ffee00c0ffee"),
-            Route::MethodNotAllowed { allow: "GET" }
-        );
-        assert!(matches!(
-            route("GET", "/v1/templates/UPPER-not-hex"),
-            Route::MalformedFingerprint(msg) if msg.contains("16 lower-case hex")
-        ));
-        assert_eq!(route("GET", "/v1/templates/"), Route::NotFound);
-        assert_eq!(route("GET", "/v1/templates/a/b"), Route::NotFound);
+        assert_no_route("/v1/templates/");
+        assert_no_route("/v1/templates/a/b");
     }
 
     #[test]
     fn unknown_targets_404_and_bad_ids_400() {
-        assert_eq!(route("GET", "/"), Route::NotFound);
-        assert_eq!(route("GET", "/v2/jobs"), Route::NotFound);
-        assert_eq!(route("GET", "/v1/jobs/"), Route::NotFound);
-        assert_eq!(route("GET", "/v1/jobs/a/b"), Route::NotFound);
-        assert!(matches!(
-            route("GET", "/v1/jobs/job-42"),
-            Route::MalformedJobId(msg) if msg.contains("job-42") && msg.contains("16 hex")
-        ));
+        for path in ["/", "/v2/jobs", "/v1/jobs/", "/v1/jobs/a/b"] {
+            assert_no_route(path);
+        }
+        let malformed = respond("GET", "/v1/jobs/job-42");
+        assert_eq!(malformed.status, 400, "{}", malformed.body);
+        assert!(
+            malformed.body.contains("job-42") && malformed.body.contains("16 hex"),
+            "{}",
+            malformed.body
+        );
     }
 }

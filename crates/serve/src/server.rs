@@ -35,7 +35,6 @@ use crate::error::{error_response, kind_name, method_not_allowed, not_found, sta
 use crate::http::{Request, Response};
 use crate::jobs::Jobs;
 use crate::listener::{Limits, Listener, ServerHandle};
-use crate::router::{route, Route};
 use crate::wire::{healthz_body, WIRE_V};
 use crate::worker::{execute, WorkerPool};
 
@@ -292,29 +291,22 @@ fn faulted(store: Box<dyn TemplateStore>, plan: Option<&Arc<FaultPlan>>) -> Box<
     }
 }
 
-/// Routes and executes one request.
+/// Routes and executes one request. The surface is versioned under
+/// `/v1`; a known path with the wrong method gets `405` with an `Allow`
+/// header, anything else `404`. Trailing slashes are not aliased.
 fn handle_request(state: &ServerState, request: &Request) -> Response {
-    match route(&request.method, &request.path) {
-        Route::Healthz => Response::json(200, healthz_body()),
-        Route::Stats => Response::json(200, stats_body(state)),
-        Route::Submit => state.jobs.submit(request, |body| parse_spec(state, body)),
-        Route::Job(id) => state.jobs.poll(id),
-        // The message is `JobId::FromStr`'s own (carried through the
-        // router), so the wire-facing text has exactly one source.
-        Route::MalformedJobId(message) => error_response(400, "bad_request", &message),
-        Route::TemplateIndex => match index_limit(request) {
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/v1/healthz") => Response::json(200, healthz_body()),
+        (method, "/v1/healthz") => method_not_allowed(method, "GET"),
+        ("GET", "/v1/stats") => Response::json(200, stats_body(state)),
+        (method, "/v1/stats") => method_not_allowed(method, "GET"),
+        ("POST", "/v1/jobs") => state.jobs.submit(request, |body| parse_spec(state, body)),
+        (method, "/v1/jobs") => method_not_allowed(method, "POST"),
+        ("GET", "/v1/templates") => match index_limit(request) {
             Ok(limit) => Response::json(200, template_index_body(state, limit)),
             Err(message) => error_response(400, "bad_request", &message),
         },
-        Route::Template(fingerprint) => match state.runner.cache().artifact(&fingerprint) {
-            Some(artifact) => Response::json(200, artifact.to_json()),
-            None => error_response(
-                404,
-                "not_found",
-                &format!("no template `{fingerprint}` resident"),
-            ),
-        },
-        Route::TemplatePush => match request.authorized(state.config.auth_token.as_deref()) {
+        ("POST", "/v1/templates") => match request.authorized(state.config.auth_token.as_deref()) {
             true => handle_template_push(state, request),
             false => error_response(
                 401,
@@ -322,9 +314,81 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
                 "POST /v1/templates requires `authorization: Bearer <token>`",
             ),
         },
-        Route::MalformedFingerprint(message) => error_response(400, "bad_request", &message),
-        Route::MethodNotAllowed { allow } => method_not_allowed(&request.method, allow),
-        Route::NotFound => not_found(&request.path),
+        (method, "/v1/templates") => method_not_allowed(method, "GET, POST"),
+        (_, path) => {
+            if let Some(raw_id) = path.strip_prefix("/v1/jobs/") {
+                state.jobs.poll_request(request, raw_id)
+            } else if let Some(raw_fp) = path.strip_prefix("/v1/templates/") {
+                template_artifact(state, request, raw_fp)
+            } else {
+                not_found(path)
+            }
+        }
+    }
+}
+
+/// Answers a bare `method path` request (no query, headers or body)
+/// in-process, through [`handle_request`] on a default-configured shard
+/// with no workers and an empty store — the routing table's unit tests
+/// run on it without a socket.
+#[cfg(test)]
+pub(crate) fn respond(method: &str, path: &str) -> Response {
+    let config = ServerConfig::default();
+    let jobs = Jobs::new(
+        config.queue_capacity,
+        config.job_ttl,
+        config.max_done_jobs,
+        config.sync_wait,
+    )
+    .expect("the default queue capacity is non-zero");
+    let state = ServerState {
+        jobs: Arc::new(jobs),
+        runner: Arc::new(BatchRunner::new()),
+        config,
+        busy: Arc::new(AtomicUsize::new(0)),
+        started: Instant::now(),
+        tier_submitted: Default::default(),
+    };
+    let request = Request {
+        method: method.into(),
+        path: path.into(),
+        query: None,
+        body: Vec::new(),
+        keep_alive: false,
+        headers: Vec::new(),
+    };
+    handle_request(&state, &request)
+}
+
+/// `GET /v1/templates/{fingerprint}`, with `raw_fp` the rest of the
+/// path: one serialized template artifact. An empty or nested
+/// fingerprint is `404`, another method `405`, and a fingerprint that is
+/// not 16 lower-case hex digits `400`.
+fn template_artifact(state: &ServerState, request: &Request, raw_fp: &str) -> Response {
+    if raw_fp.is_empty() || raw_fp.contains('/') {
+        return not_found(&request.path);
+    }
+    if request.method != "GET" {
+        return method_not_allowed(&request.method, "GET");
+    }
+    // One source for the format check: the core validator the stores
+    // themselves use.
+    if !frozenqubits::is_template_fingerprint(raw_fp) {
+        return error_response(
+            400,
+            "bad_request",
+            &format!(
+                "malformed template fingerprint `{raw_fp}` (expected 16 lower-case hex digits)"
+            ),
+        );
+    }
+    match state.runner.cache().artifact(raw_fp) {
+        Some(artifact) => Response::json(200, artifact.to_json()),
+        None => error_response(
+            404,
+            "not_found",
+            &format!("no template `{raw_fp}` resident"),
+        ),
     }
 }
 

@@ -73,8 +73,15 @@ fn error_kind(response: &str) -> String {
 fn routing_errors_are_structured() {
     let (handle, addr) = spawn(ServerConfig::default());
 
-    // Unknown routes.
-    for target in ["/", "/v2/jobs", "/v1/jobs/extra/deep"] {
+    // Unknown routes, and empty or nested ids under a known prefix.
+    for target in [
+        "/",
+        "/v2/jobs",
+        "/v1/jobs/extra/deep",
+        "/v1/jobs/",
+        "/v1/templates/",
+        "/v1/templates/a/b",
+    ] {
         let response = client::request(&addr, "GET", target, None).unwrap();
         assert_eq!(response.status, 404, "{target}");
         assert_eq!(
@@ -92,16 +99,28 @@ fn routing_errors_are_structured() {
     }
 
     // Known routes, wrong methods — with an Allow header.
-    let response = client::request(&addr, "DELETE", "/v1/jobs", None).unwrap();
-    assert_eq!(response.status, 405);
-    assert_eq!(response.header("allow"), Some("POST"));
-    let response = client::request(&addr, "POST", "/v1/healthz", None).unwrap();
-    assert_eq!(response.status, 405);
-    assert_eq!(response.header("allow"), Some("GET"));
+    for (method, target, allow) in [
+        ("DELETE", "/v1/jobs", "POST"),
+        ("POST", "/v1/healthz", "GET"),
+        ("POST", "/v1/stats", "GET"),
+        ("DELETE", "/v1/templates", "GET, POST"),
+        ("POST", "/v1/templates/00c0ffee00c0ffee", "GET"),
+        ("POST", "/v1/jobs/job-000000000000002a", "GET"),
+    ] {
+        let response = client::request(&addr, method, target, None).unwrap();
+        assert_eq!(response.status, 405, "{method} {target}");
+        assert_eq!(response.header("allow"), Some(allow), "{method} {target}");
+    }
 
-    // Job polling: malformed ids 400, unknown ids 404.
+    // Job polling: malformed ids 400 with the id parser's own message,
+    // unknown ids 404.
     let response = client::request(&addr, "GET", "/v1/jobs/job-42", None).unwrap();
     assert_eq!(response.status, 400);
+    assert!(
+        response.body.contains("job-42") && response.body.contains("16 hex"),
+        "{}",
+        response.body
+    );
     let response = client::request(&addr, "GET", "/v1/jobs/job-00000000000000ff", None).unwrap();
     assert_eq!(response.status, 404);
 
@@ -671,6 +690,11 @@ fn template_endpoints_reject_garbage_and_miss_cleanly() {
         let response =
             client::request(&addr, "GET", &format!("/v1/templates/{bad}"), None).unwrap();
         assert_eq!(response.status, 400, "`{bad}` must be rejected");
+        assert!(
+            response.body.contains("16 lower-case hex"),
+            "{}",
+            response.body
+        );
     }
 
     // Garbage pushes: malformed JSON, version skew and tampered keys

@@ -7,6 +7,8 @@
 //! nothing: the attribute remains valid and the types stay source-
 //! compatible with the real serde, at zero dependency cost.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// No-op `#[derive(Serialize)]`.

@@ -18,6 +18,8 @@
 //! one `id spec-fingerprint routing-fingerprint` line per scenario —
 //! the cross-process determinism probe the suite tests diff.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -27,7 +27,7 @@
 //! * **Single source** — model construction lives in [`models`]; the
 //!   bench binaries and examples build through it, never ad hoc.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::path::PathBuf;

@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{Topology, TranspileError};
+use crate::{Fnv64, Topology, TranspileError};
 
 /// Gate and measurement durations in nanoseconds.
 ///
@@ -43,7 +43,9 @@ impl Default for GateDurations {
 /// A NISQ device: coupling topology plus per-element calibration.
 ///
 /// The topology (with its all-pairs distance table, the bulk of a
-/// device's memory) sits behind an [`Arc`], so clones share it.
+/// device's memory) sits behind an [`Arc`], so clones share it. The
+/// calibration is fixed at construction, so its [`Device::fingerprint`]
+/// is hashed once there.
 ///
 /// # Example
 ///
@@ -65,9 +67,56 @@ pub struct Device {
     t1_us: Vec<f64>,
     t2_us: Vec<f64>,
     durations: GateDurations,
+    fingerprint: u64,
 }
 
 impl Device {
+    /// The one place a device is assembled: every constructor ends here,
+    /// so every device carries its fingerprint.
+    fn new(
+        name: String,
+        topology: Topology,
+        cnot_error: Vec<f64>,
+        readout_error: Vec<f64>,
+        t1_us: Vec<f64>,
+        t2_us: Vec<f64>,
+        durations: GateDurations,
+    ) -> Device {
+        let mut device = Device {
+            name,
+            topology: Arc::new(topology),
+            cnot_error,
+            readout_error,
+            t1_us,
+            t2_us,
+            durations,
+            fingerprint: 0,
+        };
+        device.fingerprint = device.hash_calibration();
+        device
+    }
+
+    /// The FNV-1a hash behind [`Device::fingerprint`].
+    fn hash_calibration(&self) -> u64 {
+        let mut h = Fnv64::new();
+        let n = self.num_qubits();
+        h.write_usize(n);
+        for &(a, b) in self.topology.edges() {
+            h.write_usize(a);
+            h.write_usize(b);
+            h.write_f64(self.cnot_error(a, b));
+        }
+        for q in 0..n {
+            h.write_f64(self.readout_error[q]);
+            h.write_f64(self.t1_us[q]);
+            h.write_f64(self.t2_us[q]);
+        }
+        h.write_f64(self.durations.single_ns);
+        h.write_f64(self.durations.cx_ns);
+        h.write_f64(self.durations.readout_ns);
+        h.finish()
+    }
+
     /// Builds a device with uniform calibration values.
     ///
     /// # Errors
@@ -94,15 +143,15 @@ impl Device {
         }
         let n = topology.num_qubits();
         let m = topology.edges().len();
-        Ok(Device {
-            name: name.into(),
-            topology: Arc::new(topology),
-            cnot_error: vec![cnot_error; m],
-            readout_error: vec![readout_error; n],
-            t1_us: vec![t1_us; n],
-            t2_us: vec![t1_us; n],
+        Ok(Device::new(
+            name.into(),
+            topology,
+            vec![cnot_error; m],
+            vec![readout_error; n],
+            vec![t1_us; n],
+            vec![t1_us; n],
             durations,
-        })
+        ))
     }
 
     /// An error-free device on the given topology (for `EV_ideal`).
@@ -110,15 +159,15 @@ impl Device {
     pub fn ideal(name: impl Into<String>, topology: Topology) -> Device {
         let n = topology.num_qubits();
         let m = topology.edges().len();
-        Device {
-            name: name.into(),
-            topology: Arc::new(topology),
-            cnot_error: vec![0.0; m],
-            readout_error: vec![0.0; n],
-            t1_us: vec![f64::INFINITY; n],
-            t2_us: vec![f64::INFINITY; n],
-            durations: GateDurations::default(),
-        }
+        Device::new(
+            name.into(),
+            topology,
+            vec![0.0; m],
+            vec![0.0; n],
+            vec![f64::INFINITY; n],
+            vec![f64::INFINITY; n],
+            GateDurations::default(),
+        )
     }
 
     /// Builds a device with calibration values scattered log-normally
@@ -146,15 +195,15 @@ impl Device {
             .collect();
         let t1_us: Vec<f64> = (0..n).map(|_| scatter(mean_t1_us, 0.3, &mut rng)).collect();
         let t2_us = t1_us.iter().map(|&t| 0.8 * t).collect();
-        Device {
-            name: name.into(),
-            topology: Arc::new(topology),
+        Device::new(
+            name.into(),
+            topology,
             cnot_error,
             readout_error,
             t1_us,
             t2_us,
-            durations: GateDurations::default(),
-        }
+            GateDurations::default(),
+        )
     }
 
     /// IBM Montreal (27-qubit Falcon) — the primary machine of Figs. 7–11.
@@ -335,6 +384,18 @@ impl Device {
     #[must_use]
     pub fn durations(&self) -> GateDurations {
         self.durations
+    }
+
+    /// A stable FNV-1a fingerprint of every device property that layout,
+    /// routing, scheduling or the noise models read: topology, per-edge
+    /// CNOT errors, per-qubit readout errors and coherence times, and
+    /// gate durations. The name is not part of it. Two same-named but
+    /// differently calibrated devices get different fingerprints, so
+    /// templates compiled for them never collide — in memory, on disk,
+    /// or across shards. Computed once when the device is built.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Mean CNOT error over all couplers.

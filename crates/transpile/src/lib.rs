@@ -9,7 +9,8 @@
 //!   Eagle heavy-hex lattices, with all-pairs distances;
 //! * [`Device`] — topology plus seeded synthetic calibration (CNOT error,
 //!   readout error, `T1`/`T2`, durations) for the 8 IBMQ machines of
-//!   Fig. 13, the ideal device and the optimistic 50×50 grid;
+//!   Fig. 13, the ideal device and the optimistic 50×50 grid, with a
+//!   stable [`Fnv64`] fingerprint of that calibration;
 //! * [`choose_layout`] — trivial and noise-adaptive initial placement;
 //! * [`route`] — deterministic SABRE-style SWAP routing;
 //! * [`pass`] — CX-pair cancellation, `Rz` merging, SWAP decomposition;
@@ -44,6 +45,7 @@
 mod compile;
 mod device;
 mod error;
+mod fnv;
 mod layout;
 pub mod pass;
 mod route;
@@ -54,6 +56,7 @@ mod wire;
 pub use compile::{compile, compile_invocations, CompileOptions, Compiled};
 pub use device::{Device, GateDurations};
 pub use error::TranspileError;
+pub use fnv::Fnv64;
 pub use layout::{choose_layout, LayoutStrategy};
 pub use route::{route, Routed};
 pub use schedule::{gate_duration, schedule, Schedule};

@@ -6,6 +6,8 @@
 //! see `README.md` for the layering. This package exists to host the
 //! workspace-level `examples/` and `tests/` directories.
 
+#![forbid(unsafe_code)]
+
 pub use frozenqubits;
 
 #[cfg(test)]

@@ -4,13 +4,16 @@
 //! process: the `--cache-dir` spill filename, the
 //! `/v1/templates/{fingerprint}` path, and the key a dispatcher routes a
 //! job by. It hashes the device's topology and calibration (see
-//! `device_fingerprint`), so a change to how `Topology` or `Device`
-//! stores or looks up a coupler could move every value silently: every
-//! store on disk would be orphaned and jobs would change shards. These
-//! values were recorded before the topology gained its coupler index
-//! and the presets became shared; they must never change.
+//! `Device::fingerprint`), so a change to how `Topology` or `Device`
+//! stores, looks up or hashes a coupler could move every value silently:
+//! every store on disk would be orphaned and jobs would change shards.
+//! The preset values were recorded before the topology gained its
+//! coupler index and the presets became shared, the custom-device values
+//! before devices hashed their calibration at construction; they must
+//! never change.
 
-use frozenqubits::api::{DeviceSpec, JobBuilder, JobSpec, QosTier};
+use fq_transpile::{Device, GateDurations, Topology};
+use frozenqubits::api::{DeviceSpec, Job, JobBuilder, JobKind, JobSpec, QosTier};
 
 /// The template fingerprint of a frozen BA job (n = 12, d = 1, seed 7,
 /// two frozen qubits) on each preset. The job has one unit, and an exact
@@ -44,6 +47,29 @@ fn frozen_spec_fingerprints_are_pinned_on_every_preset() {
         let spec = frozen_spec(device);
         assert_eq!(spec.unit_fingerprints().unwrap(), [pin], "{device:?}");
         assert_eq!(spec.routing_fingerprint().unwrap(), pin, "{device:?}");
+    }
+}
+
+/// The same frozen job on two devices no preset covers: a uniform
+/// device on a generated grid and an error-free generated heavy-hex
+/// lattice, built through the in-process `Job::from_parts`.
+#[test]
+fn custom_device_fingerprints_are_pinned() {
+    let spec = frozen_spec(DeviceSpec::IbmMontreal);
+    let model = spec.problem.resolve().unwrap();
+    let uniform = Device::uniform(
+        "grid-4x5",
+        Topology::grid(4, 5).unwrap(),
+        0.007,
+        0.02,
+        80.0,
+        GateDurations::default(),
+    )
+    .unwrap();
+    let ideal = Device::ideal("ideal-hex", Topology::heavy_hex_rows(&[7, 9, 6]).unwrap());
+    for (device, pin) in [(uniform, "f2badb0ea474f96a"), (ideal, "f82e66ddaf131962")] {
+        let job = Job::from_parts(&model, &device, &spec.config, JobKind::Frozen);
+        assert_eq!(job.unit_fingerprints().unwrap(), [pin], "{}", device.name());
     }
 }
 
