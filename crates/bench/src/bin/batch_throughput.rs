@@ -6,7 +6,10 @@
 //! threads (each run on a cold template cache so every configuration pays
 //! the same compile bill), verifies the outputs are bit-identical across
 //! thread counts, and reports jobs/sec, templates compiled and the
-//! speedup over the sequential (1-thread) run.
+//! speedup over the sequential (1-thread) run. The thread counts take
+//! turns within each timing round (1, 2, auto, 1, 2, …), so drift in the
+//! host's speed reaches every count alike; each count reports its
+//! fastest run, its median and the distance between its quartiles.
 //!
 //! It then measures **cold vs. warm start** through a disk-spill store:
 //! one runner populates a fresh `--cache-dir`-style directory, a second
@@ -17,8 +20,8 @@
 //! Knobs:
 //! * `FQ_BENCH_JOBS` — job count (default 96; CI smoke uses a small
 //!   value).
-//! * `FQ_BENCH_ITERS` — timed iterations per thread count (default 3;
-//!   the minimum is reported, standard practice for throughput numbers).
+//! * `FQ_BENCH_ITERS` — timing rounds, one run per thread count each
+//!   (default 15).
 //!
 //! The JSON lands at the workspace root as `BENCH_batch.json`, where the
 //! perf trajectory across PRs accumulates (machine-readable, append-style
@@ -70,11 +73,22 @@ struct Point {
     seconds: f64,
     jobs_per_sec: f64,
     speedup: f64,
+    median_seconds: f64,
+    iqr_seconds: f64,
+    median_speedup: f64,
+}
+
+/// The `p`-quantile of ascending `sorted`, interpolating linearly between
+/// neighbouring ranks.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let rank = p * (sorted.len() - 1) as f64;
+    let (low, high) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[low] + (sorted[high] - sorted[low]) * (rank - low as f64)
 }
 
 fn main() {
     let jobs = env_usize("FQ_BENCH_JOBS", 96);
-    let iters = env_usize("FQ_BENCH_ITERS", 3).max(1);
+    let iters = env_usize("FQ_BENCH_ITERS", 15).max(1);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let auto = auto_threads();
     let specs = batch(jobs);
@@ -91,18 +105,16 @@ fn main() {
 
     let mut reference: Option<Vec<Result<JobResult, FqError>>> = None;
     let mut templates = 0usize;
-    let mut points: Vec<Point> = Vec::new();
-    let mut seq_seconds = 0.0f64;
-    for &threads in &thread_counts {
-        // Each timed run uses a fresh runner: a cold cache per iteration
-        // keeps every thread count paying an identical compile bill.
-        let mut best = f64::INFINITY;
-        for _ in 0..iters {
+    // `times[w]`: one batch time per round at `thread_counts[w]`.
+    let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(iters); thread_counts.len()];
+    for _ in 0..iters {
+        for (width, &threads) in thread_counts.iter().enumerate() {
+            // Each timed run uses a fresh runner: a cold cache per run
+            // keeps every thread count paying an identical compile bill.
             let runner = BatchRunner::new().with_threads(threads);
             let t0 = Instant::now();
             let results = runner.run(&specs);
-            let dt = t0.elapsed().as_secs_f64();
-            best = best.min(dt);
+            times[width].push(t0.elapsed().as_secs_f64());
             templates = runner.templates_compiled();
             match &reference {
                 None => reference = Some(results),
@@ -124,21 +136,37 @@ fn main() {
                 }
             }
         }
-        if threads == 1 {
-            seq_seconds = best;
-        }
-        points.push(Point {
-            threads,
-            seconds: best,
-            jobs_per_sec: jobs as f64 / best,
-            speedup: seq_seconds / best,
-        });
-        let p = points.last().expect("just pushed");
+    }
+    for run in &mut times {
+        run.sort_by(f64::total_cmp);
+    }
+    let (seq_best, seq_median) = (times[0][0], quantile(&times[0], 0.5));
+    let points: Vec<Point> = thread_counts
+        .iter()
+        .zip(&times)
+        .map(|(&threads, run)| {
+            let (best, median) = (run[0], quantile(run, 0.5));
+            Point {
+                threads,
+                seconds: best,
+                jobs_per_sec: jobs as f64 / best,
+                speedup: seq_best / best,
+                median_seconds: median,
+                iqr_seconds: quantile(run, 0.75) - quantile(run, 0.25),
+                median_speedup: seq_median / median,
+            }
+        })
+        .collect();
+    for p in &points {
         println!(
-            "threads={threads:<3} {:>12} / batch   {:>9.1} jobs/s   speedup {:.2}x",
+            "threads={:<3} {:>12} / batch   {:>9.1} jobs/s   speedup {:.2}x   median {} (IQR {})   median speedup {:.2}x",
+            p.threads,
             fmt_time(p.seconds),
             p.jobs_per_sec,
-            p.speedup
+            p.speedup,
+            fmt_time(p.median_seconds),
+            fmt_time(p.iqr_seconds),
+            p.median_speedup
         );
     }
     println!("templates compiled per cold run: {templates}");
@@ -233,8 +261,15 @@ fn main() {
         let sep = if i + 1 < points.len() { "," } else { "" };
         let _ = write!(
             rows,
-            "\n    {{\"threads\":{},\"seconds\":{:.6},\"jobs_per_sec\":{:.3},\"speedup_vs_sequential\":{:.3}}}{sep}",
-            p.threads, p.seconds, p.jobs_per_sec, p.speedup
+            "\n    {{\"threads\":{},\"seconds\":{:.6},\"jobs_per_sec\":{:.3},\"speedup_vs_sequential\":{:.3},\
+             \"median_seconds\":{:.6},\"iqr_seconds\":{:.6},\"median_speedup_vs_sequential\":{:.3}}}{sep}",
+            p.threads,
+            p.seconds,
+            p.jobs_per_sec,
+            p.speedup,
+            p.median_seconds,
+            p.iqr_seconds,
+            p.median_speedup
         );
     }
     let json = format!(

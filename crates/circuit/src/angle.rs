@@ -137,16 +137,6 @@ impl Angle {
             Angle::Gamma { scale, .. } | Angle::Beta { scale, .. } => scale == 0.0,
         }
     }
-
-    /// Rescales the coefficient part of the angle (template editing).
-    #[must_use]
-    pub fn with_scale(&self, scale: f64) -> Angle {
-        match *self {
-            Angle::Constant(_) => Angle::Constant(scale),
-            Angle::Gamma { layer, term, .. } => Angle::Gamma { layer, scale, term },
-            Angle::Beta { layer, .. } => Angle::Beta { layer, scale },
-        }
-    }
 }
 
 impl Default for Angle {
@@ -250,19 +240,5 @@ mod tests {
             scale: 0.1
         }
         .is_zero());
-        let a = Angle::Gamma {
-            layer: 2,
-            scale: 1.0,
-            term: 7,
-        }
-        .with_scale(4.0);
-        assert_eq!(
-            a,
-            Angle::Gamma {
-                layer: 2,
-                scale: 4.0,
-                term: 7
-            }
-        );
     }
 }

@@ -166,12 +166,6 @@ impl QuantumCircuit {
         self.gates.iter().map(Gate::cnot_cost).sum()
     }
 
-    /// Number of two-qubit gate *instances* (Cx or Swap).
-    #[must_use]
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_two_qubit()).count()
-    }
-
     /// Circuit depth: the longest chain of gates that share qubits,
     /// counting every gate (including measurement) as one level.
     #[must_use]
@@ -335,7 +329,6 @@ mod tests {
         qc.cx(0, 1).unwrap();
         qc.swap(1, 2).unwrap();
         assert_eq!(qc.cnot_count(), 4);
-        assert_eq!(qc.two_qubit_gate_count(), 2);
     }
 
     #[test]

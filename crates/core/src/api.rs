@@ -358,19 +358,6 @@ impl JobSpec {
         JobBuilder::new()
     }
 
-    /// Replaces the execution backend, leaving everything else intact.
-    ///
-    /// This is the service layer's backend-selection hook: `fq-serve` can
-    /// pin every submitted job to an operator-chosen [`BackendSpec`]
-    /// without re-validating or rebuilding the spec. Combinations the
-    /// builder rejects (sampling on [`BackendSpec::NoiseModel`]) still
-    /// fail at run time with the same error.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendSpec) -> JobSpec {
-        self.backend = backend;
-        self
-    }
-
     /// Resolves the spec into a runnable [`Job`] (materializes the
     /// problem and the device).
     ///
@@ -1408,25 +1395,6 @@ mod tests {
                 "`{garbage}` must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn with_backend_swaps_only_the_backend() {
-        let spec = JobBuilder::new()
-            .barabasi_albert(8, 1, 1)
-            .device(DeviceSpec::IbmMontreal)
-            .frozen()
-            .build()
-            .unwrap();
-        let swapped = spec.clone().with_backend(BackendSpec::NoiseModel);
-        assert_eq!(swapped.backend, BackendSpec::NoiseModel);
-        assert_eq!(
-            JobSpec {
-                backend: spec.backend,
-                ..swapped
-            },
-            spec
-        );
     }
 
     #[test]

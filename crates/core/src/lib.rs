@@ -102,3 +102,6 @@ pub use store::{
     TemplateIndexEntry, TemplateKey, TemplateStore, TieredStore, TEMPLATE_WIRE_VERSION,
 };
 pub use template::CompiledTemplate;
+// The one FNV-1a of the workspace, for crates that hash stable names
+// without depending on the transpiler directly.
+pub use fq_transpile::Fnv64;

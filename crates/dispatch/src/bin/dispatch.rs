@@ -152,3 +152,35 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_usage_flag_parses_and_no_other_does() {
+        // Each flag of the synopsis, followed by a value of the kind its
+        // placeholder names.
+        let synopsis = USAGE.split("\n\n").next().expect("a synopsis");
+        let words: Vec<&str> = synopsis
+            .split([' ', '\n', '[', ']'])
+            .filter(|word| !word.is_empty())
+            .collect();
+        let args: Vec<String> = words
+            .windows(2)
+            .filter(|pair| pair[0].starts_with("--"))
+            .flat_map(|pair| match pair[1] {
+                "N" | "BYTES" => [pair[0], "1"],
+                "HOST:PORT" => [pair[0], "127.0.0.1:1"],
+                other => [pair[0], other],
+            })
+            .map(str::to_string)
+            .collect();
+        assert!(args.len() > 20, "{args:?}");
+        assert!(parse_args(&args).unwrap().is_some());
+        for flag in ["--backend", "--engine-threads"] {
+            let error = parse_args(&[flag.to_string(), "1".to_string()]).unwrap_err();
+            assert!(error.contains("unknown flag"), "{error}");
+        }
+    }
+}

@@ -25,13 +25,15 @@ use std::sync::atomic::AtomicU64;
 use std::time::{Duration, Instant};
 
 use fq_serve::client::{HttpResponse, ShardConn};
-use fq_serve::error::{error_body, status_for_kind};
-use serde::json::Value;
+use fq_serve::error::error_body;
+use fq_serve::wire::reply_from_envelope;
 
 use crate::registry::Outcome;
 use crate::shards::ShardTable;
 
-/// Retry/backoff/poll knobs for the forwarding path.
+/// Retry, backoff and poll bounds of the forwarding path. The two poll
+/// bounds are fixed in production (their [`Default`]); tests shorten
+/// them.
 #[derive(Clone, Debug)]
 pub(crate) struct ForwardPolicy {
     /// Full passes over the candidate list before shedding (≥ 1).
@@ -211,11 +213,10 @@ pub(crate) fn forward_job(
 }
 
 /// A shard accepted the job but degraded to `202` (its `sync_wait`
-/// elapsed). Poll its job endpoint until the job finishes, then
-/// reconstruct the synchronous response: `200` + the bare canonical
-/// result for success (byte-identical — the envelope embeds the
-/// canonical document and canonical JSON round-trips exactly), or the
-/// shard's error envelope + mapped status for failure.
+/// elapsed). Poll its job endpoint until the job finishes, then relay
+/// the synchronous answer the shard's poll envelope carries
+/// ([`reply_from_envelope`]): `200` + the canonical result bytes, or the
+/// error envelope under its mapped status.
 fn resolve_degraded(
     pool: &mut ConnPool,
     addr: &str,
@@ -256,46 +257,10 @@ fn resolve_degraded(
             }
             _ => continue,
         }
-        let Ok(envelope) = Value::parse(&response.body) else {
-            return upstream("unparsable poll envelope");
-        };
-        let status = envelope
-            .field("status")
-            .and_then(|s| s.as_str())
-            .unwrap_or("");
-        match status {
-            "done" => {
-                let Ok(result) = envelope.field("result") else {
-                    return upstream("done envelope without a result");
-                };
-                return Outcome {
-                    status: 200,
-                    body: result.to_json(),
-                };
-            }
-            "failed" => {
-                let (kind, message) = match envelope.field("error") {
-                    Ok(error) => (
-                        error
-                            .field("kind")
-                            .and_then(|k| k.as_str())
-                            .unwrap_or("internal")
-                            .to_string(),
-                        error
-                            .field("message")
-                            .and_then(|m| m.as_str())
-                            .unwrap_or("")
-                            .to_string(),
-                    ),
-                    Err(_) => ("internal".to_string(), response.body.clone()),
-                };
-                return Outcome {
-                    status: status_for_kind(&kind),
-                    body: error_body(&kind, &message),
-                };
-            }
-            // queued / running: keep polling.
-            _ => {}
+        match reply_from_envelope(&response.body) {
+            Ok(Some((status, body))) => return Outcome { status, body },
+            Ok(None) => {} // queued or running: keep polling.
+            Err(error) => return upstream(&format!("unreadable poll envelope: {error}")),
         }
     }
 }
@@ -303,6 +268,7 @@ fn resolve_degraded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::json::Value;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
 
@@ -318,7 +284,7 @@ mod tests {
 
     /// A fake shard serving a fixed sequence of responses, one per
     /// request, over a single keep-alive connection.
-    fn scripted_shard(responses: Vec<&'static str>) -> (String, std::thread::JoinHandle<()>) {
+    fn scripted_shard(responses: Vec<String>) -> (String, std::thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
@@ -346,6 +312,114 @@ mod tests {
         (addr, handle)
     }
 
+    /// A response with `status_line`, extra `headers` (each ending in
+    /// CRLF) and `body`, framed by its length.
+    fn framed(status_line: &str, headers: &str, body: &str) -> String {
+        format!(
+            "HTTP/1.1 {status_line}\r\n{headers}content-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    }
+
+    /// Forwards one job to a scripted shard, the only candidate.
+    fn forward_to(responses: Vec<String>, policy: &ForwardPolicy) -> (Outcome, Metrics) {
+        let (addr, shard) = scripted_shard(responses);
+        let metrics = Metrics::default();
+        let table = ShardTable::new(&[addr]);
+        let mut pool = ConnPool::new(None);
+        let outcome = forward_job(&mut pool, &table, policy, &metrics, "{}", "abc");
+        shard.join().unwrap();
+        (outcome, metrics)
+    }
+
+    /// A shard's `200` poll answer for job 7 in `status`, with `extra`
+    /// members (`,"result":...` or `,"error":...`) appended.
+    fn polled(status: &str, extra: &str) -> String {
+        let envelope =
+            format!(r#"{{"v":1,"id":"job-0000000000000007","status":"{status}"{extra}}}"#);
+        framed("200 OK", "", &envelope)
+    }
+
+    /// The shard's `202` for a synchronous submission that outlived its
+    /// `sync_wait`.
+    fn degraded() -> String {
+        let location = "location: /v1/jobs/job-0000000000000007\r\n";
+        framed("202 Accepted", location, r#"{"v":1,"status":"queued"}"#)
+    }
+
+    #[test]
+    fn a_degraded_job_relays_the_shards_canonical_result() {
+        let result = frozenqubits::api::JobBuilder::new()
+            .barabasi_albert(8, 1, 5)
+            .device(frozenqubits::api::DeviceSpec::IbmMontreal)
+            .baseline()
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let done = polled("done", &format!(r#","result":{}"#, result.to_json()));
+        let responses = vec![degraded(), polled("running", ""), done];
+        let (outcome, metrics) = forward_to(responses, &policy());
+        assert_eq!((outcome.status, outcome.body), (200, result.to_json()));
+        assert_eq!(metrics.forwarded.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_degraded_failure_relays_the_sync_error_answer() {
+        use fq_serve::jobs::JobOutcome;
+        let message = "layers must be \"positive\"".to_string();
+        let failed: Result<frozenqubits::JobResult, _> =
+            Err(frozenqubits::FqError::InvalidConfig(message));
+        let (status, body) = failed.reply();
+        let error = Value::parse(&body)
+            .unwrap()
+            .field("error")
+            .unwrap()
+            .to_json();
+        let responses = vec![
+            degraded(),
+            polled("failed", &format!(r#","error":{error}"#)),
+        ];
+        let (outcome, _) = forward_to(responses, &policy());
+        assert_eq!((outcome.status, outcome.body), (422, body));
+        assert_eq!(status, 422);
+    }
+
+    #[test]
+    fn a_degraded_job_the_shard_expired_is_a_502() {
+        let gone = framed("410 Gone", "", r#"{"v":1,"error":{"kind":"expired"}}"#);
+        let (outcome, _) = forward_to(vec![degraded(), gone], &policy());
+        assert_eq!(outcome.status, 502);
+        assert!(
+            outcome.body.contains(r#""kind":"upstream""#),
+            "{}",
+            outcome.body
+        );
+    }
+
+    #[test]
+    fn a_202_without_a_location_is_a_502() {
+        let unlocated = framed("202 Accepted", "", r#"{"v":1,"status":"queued"}"#);
+        let (outcome, _) = forward_to(vec![unlocated], &policy());
+        assert_eq!(outcome.status, 502);
+        assert!(
+            outcome.body.contains(r#""kind":"upstream""#),
+            "{}",
+            outcome.body
+        );
+    }
+
+    #[test]
+    fn a_degraded_job_past_the_poll_deadline_is_a_504() {
+        let policy = ForwardPolicy {
+            poll_deadline: Duration::ZERO,
+            ..policy()
+        };
+        let (outcome, _) = forward_to(vec![degraded()], &policy);
+        assert_eq!(outcome.status, 504);
+        assert!(outcome.body.contains(r#""kind":"upstream_timeout""#));
+    }
+
     #[test]
     fn dead_primary_reroutes_to_the_survivor() {
         // The dead "shard" is a bound-then-dropped port.
@@ -353,9 +427,7 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let (alive, shard) = scripted_shard(vec![
-            "HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n{\"ok\":true}",
-        ]);
+        let (alive, shard) = scripted_shard(vec![framed("200 OK", "", "{\"ok\":true}")]);
         let table = ShardTable::new(&[dead.clone(), alive.clone()]);
         // Pick a fingerprint whose rendezvous primary is the *dead*
         // shard, so the forward must actually fail over.
@@ -379,20 +451,20 @@ mod tests {
 
     #[test]
     fn engine_errors_relay_verbatim_without_retry() {
-        let envelope = "HTTP/1.1 422 Unprocessable Entity\r\ncontent-length: 64\r\n\r\n{\"v\":1,\"error\":{\"kind\":\"invalid_config\",\"message\":\"bad layers\"}}";
-        assert_eq!(
-            64,
-            "{\"v\":1,\"error\":{\"kind\":\"invalid_config\",\"message\":\"bad layers\"}}".len()
-        );
-        let (addr, shard) = scripted_shard(vec![envelope]);
-        let table = ShardTable::new(&[addr]);
-        let metrics = Metrics::default();
-        let mut pool = ConnPool::new(None);
-        let outcome = forward_job(&mut pool, &table, &policy(), &metrics, "{}", "abc");
+        let envelope = r#"{"v":1,"error":{"kind":"invalid_config","message":"bad layers"}}"#;
+        let refused = framed("422 Unprocessable Entity", "", envelope);
+        let (outcome, metrics) = forward_to(vec![refused], &policy());
         assert_eq!(outcome.status, 422);
-        assert!(outcome.body.contains("invalid_config"));
+        assert_eq!(outcome.body, envelope);
         assert_eq!(metrics.rerouted.load(Ordering::Relaxed), 0, "no retry");
-        shard.join().unwrap();
+    }
+
+    /// A shard's `503` advertising `retry-after: {seconds}`, then its
+    /// `200`.
+    fn saturated_then_ok(seconds: u64) -> Vec<String> {
+        let retry_after = format!("retry-after: {seconds}\r\n");
+        let saturated = framed("503 Service Unavailable", &retry_after, "{}");
+        vec![saturated, framed("200 OK", "", "{\"ok\":true}")]
     }
 
     #[test]
@@ -401,52 +473,36 @@ mod tests {
         // schedule says 30. If the doubling schedule were still in
         // charge, this test would sit for 30 s — the harness timeout
         // alone makes that a failure.
-        let saturated =
-            "HTTP/1.1 503 Service Unavailable\r\nretry-after: 0\r\ncontent-length: 2\r\n\r\n{}";
-        let ok = "HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n{\"ok\":true}";
-        let (addr, shard) = scripted_shard(vec![saturated, ok]);
-        let table = ShardTable::new(&[addr]);
-        let metrics = Metrics::default();
-        let mut pool = ConnPool::new(None);
         let policy = ForwardPolicy {
             backoff: Duration::from_secs(30),
             ..policy()
         };
         let started = Instant::now();
-        let outcome = forward_job(&mut pool, &table, &policy, &metrics, "{}", "abc");
+        let (outcome, _) = forward_to(saturated_then_ok(0), &policy);
         assert_eq!(outcome.status, 200);
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "retry-after: 0 must preempt the 30s doubling backoff (took {:?})",
             started.elapsed()
         );
-        shard.join().unwrap();
     }
 
     #[test]
     fn advertised_retry_after_is_clamped_by_max_backoff() {
         // The shard asks for an hour; the policy caps any single sleep
         // at 10 ms, so the second pass still happens promptly.
-        let saturated =
-            "HTTP/1.1 503 Service Unavailable\r\nretry-after: 3600\r\ncontent-length: 2\r\n\r\n{}";
-        let ok = "HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n{\"ok\":true}";
-        let (addr, shard) = scripted_shard(vec![saturated, ok]);
-        let table = ShardTable::new(&[addr]);
-        let metrics = Metrics::default();
-        let mut pool = ConnPool::new(None);
         let policy = ForwardPolicy {
             max_backoff: Duration::from_millis(10),
             ..policy()
         };
         let started = Instant::now();
-        let outcome = forward_job(&mut pool, &table, &policy, &metrics, "{}", "abc");
+        let (outcome, _) = forward_to(saturated_then_ok(3600), &policy);
         assert_eq!(outcome.status, 200);
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "retry-after: 3600 must be clamped by max_backoff (took {:?})",
             started.elapsed()
         );
-        shard.join().unwrap();
     }
 
     #[test]

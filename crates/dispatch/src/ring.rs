@@ -15,31 +15,22 @@
 //!   everything). The failover order is the same ranking, so a dead
 //!   shard's keys spread over the survivors instead of piling onto one.
 //!
-//! The hash is FNV-1a, the same family as the template fingerprints
-//! themselves (`frozenqubits::store`) — deterministic across runs and
-//! platforms, which keeps routing reproducible in tests and across a
-//! fleet of dispatchers.
+//! The hash is [`Fnv64`], the FNV-1a that also names templates and
+//! devices — deterministic across runs and platforms, which keeps
+//! routing reproducible in tests and across a fleet of dispatchers.
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over one byte slice, continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+use frozenqubits::Fnv64;
 
 /// The rendezvous score of `(fingerprint, shard)`. A `0xff` separator
 /// (never part of an address or a hex fingerprint) keeps the pair
 /// encoding unambiguous.
 #[must_use]
 pub fn score(fingerprint: &str, shard: &str) -> u64 {
-    let state = fnv1a(FNV_OFFSET, fingerprint.as_bytes());
-    let state = fnv1a(state, &[0xff]);
-    fnv1a(state, shard.as_bytes())
+    let mut hash = Fnv64::new();
+    hash.write(fingerprint.as_bytes());
+    hash.write(&[0xff]);
+    hash.write(shard.as_bytes());
+    hash.finish()
 }
 
 /// Indices into `shards`, best candidate first, for `fingerprint`.
@@ -123,5 +114,29 @@ mod tests {
         assert_ne!(score("a", "x"), score("a", "y"));
         // The separator keeps ("ab","c") distinct from ("a","bc").
         assert_ne!(score("ab", "c"), score("a", "bc"));
+    }
+
+    /// Fixed scores and rankings: routing, and so which shard holds
+    /// each template, must be the same in every build of every
+    /// dispatcher of a fleet.
+    #[test]
+    fn scores_and_ranks_are_pinned() {
+        for (fingerprint, shard, pinned) in [
+            ("00c0ffee00c0ffee", "10.0.0.0:8077", 0x453f_ad03_2ebe_6eb7),
+            ("00c0ffee00c0ffee", "127.0.0.1:8701", 0x17aa_43ab_6ed7_68b5),
+            ("0123456789abcdef", "127.0.0.1:8702", 0x2d6b_b0a1_8c04_22ac),
+            ("", "", 0xaf64_724c_8602_eb6e),
+            ("", "127.0.0.1:8701", 0xaff2_7c82_3114_7b5d),
+        ] {
+            assert_eq!(
+                score(fingerprint, shard),
+                pinned,
+                "{fingerprint:?} {shard:?}"
+            );
+        }
+        let pool = shards(5);
+        assert_eq!(rank("00c0ffee00c0ffee", &pool), [3, 1, 0, 2, 4]);
+        assert_eq!(rank("0123456789abcdef", &pool), [4, 1, 3, 0, 2]);
+        assert_eq!(rank("", &pool), [4, 3, 1, 0, 2]);
     }
 }

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use fq_serve::wire::parse_template_index;
 use serde::json::Value;
 
 use crate::forward::{ConnPool, Metrics};
@@ -149,22 +150,11 @@ fn probe(pool: &mut ConnPool, addr: &str, limit: usize) -> Result<(ProbeStats, V
         .conn(addr)
         .request("GET", &format!("/v1/templates?limit={limit}"), None)
         .map_err(|_| ())?;
-    let index = Value::parse(&index.body).map_err(|_| ())?;
-    let templates = index
-        .field("templates")
-        .and_then(|t| t.as_array())
-        .map(|entries| {
-            entries
-                .iter()
-                .filter_map(|e| {
-                    e.field("fingerprint")
-                        .and_then(|f| f.as_str())
-                        .ok()
-                        .map(str::to_string)
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let templates = parse_template_index(&index.body)
+        .map_err(|_| ())?
+        .into_iter()
+        .map(|(fingerprint, _)| fingerprint)
+        .collect();
 
     Ok((probe_stats, templates))
 }

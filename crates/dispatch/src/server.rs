@@ -79,7 +79,7 @@ pub struct DispatchConfig {
     /// cycle's probe: the sentinel downloads 32 × this many of each
     /// shard's hottest index rows.
     pub warm_batch: usize,
-    /// Retry/backoff/poll policy for the forwarding path.
+    /// Full passes over a job's candidate shards before it is shed.
     pub retry_rounds: usize,
     /// Sleep before the second candidate pass; doubles per pass. A
     /// saturated shard's `retry-after` header, when present, replaces
@@ -88,10 +88,6 @@ pub struct DispatchConfig {
     /// Hard cap on any single inter-pass sleep, whether it came from
     /// the doubling schedule or a shard's `retry-after`.
     pub retry_backoff_cap: Duration,
-    /// Poll cadence for shard-degraded (`202`) jobs.
-    pub poll_interval: Duration,
-    /// Longest a degraded job is polled before `504`.
-    pub poll_deadline: Duration,
     /// Read timeout on every sentinel probe/convergence request, so one
     /// stalled shard cannot wedge a probe cycle.
     pub probe_timeout: Duration,
@@ -122,8 +118,6 @@ impl Default for DispatchConfig {
             retry_rounds: 2,
             retry_backoff: Duration::from_millis(50),
             retry_backoff_cap: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(50),
-            poll_deadline: Duration::from_secs(300),
             probe_timeout: Duration::from_secs(2),
             fault_plan: None,
         }
@@ -136,8 +130,7 @@ impl DispatchConfig {
             rounds: self.retry_rounds,
             backoff: self.retry_backoff,
             max_backoff: self.retry_backoff_cap,
-            poll_interval: self.poll_interval,
-            poll_deadline: self.poll_deadline,
+            ..ForwardPolicy::default()
         }
     }
 }

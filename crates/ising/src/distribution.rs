@@ -60,12 +60,6 @@ impl OutputDistribution {
         self.total
     }
 
-    /// Number of *distinct* outcomes observed (`s` in §3.8).
-    #[must_use]
-    pub fn num_outcomes(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Records `count` observations of `outcome`.
     ///
     /// # Panics
@@ -193,15 +187,6 @@ impl OutputDistribution {
         }
         Ok(out)
     }
-
-    /// The `k` most frequent outcomes, ties broken deterministically.
-    #[must_use]
-    pub fn top_k(&self, k: usize) -> Vec<(SpinVec, u64)> {
-        let mut all: Vec<(SpinVec, u64)> = self.iter().map(|(z, c)| (z.clone(), c)).collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        all.truncate(k);
-        all
-    }
 }
 
 impl FromIterator<(SpinVec, u64)> for OutputDistribution {
@@ -312,7 +297,7 @@ mod tests {
         b.record(SpinVec::from_bits(&[1]), 3);
         a.merge(&b).unwrap();
         assert_eq!(a.total_shots(), 6);
-        assert_eq!(a.num_outcomes(), 2);
+        assert_eq!(a.iter().count(), 2);
         let wrong = OutputDistribution::new(2);
         assert!(a.merge(&wrong).is_err());
     }
@@ -326,17 +311,6 @@ mod tests {
         ));
         assert!(matches!(d.best(&pair_model()), Err(IsingError::Empty)));
         assert!(matches!(d.mode(), Err(IsingError::Empty)));
-    }
-
-    #[test]
-    fn top_k_orders_by_count() {
-        let mut d = OutputDistribution::new(2);
-        d.record(SpinVec::from_bits(&[0, 0]), 1);
-        d.record(SpinVec::from_bits(&[1, 1]), 5);
-        d.record(SpinVec::from_bits(&[0, 1]), 3);
-        let top = d.top_k(2);
-        assert_eq!(top[0].1, 5);
-        assert_eq!(top[1].1, 3);
     }
 
     #[test]

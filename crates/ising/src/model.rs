@@ -211,38 +211,6 @@ impl IsingModel {
         Ok(e)
     }
 
-    /// The energy change from flipping spin `k` of assignment `z`.
-    ///
-    /// Computing the delta is `O(deg(k))` instead of re-evaluating the whole
-    /// Hamiltonian; the annealing solver relies on this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsingError::DimensionMismatch`] on length mismatch and
-    /// [`IsingError::VariableOutOfRange`] for an out-of-range `k`.
-    pub fn flip_delta(&self, z: &SpinVec, k: usize) -> Result<f64, IsingError> {
-        if z.len() != self.num_vars {
-            return Err(IsingError::DimensionMismatch {
-                got: z.len(),
-                expected: self.num_vars,
-            });
-        }
-        self.check_var(k)?;
-        // Flipping z_k negates every term containing z_k: delta = -2 * (local field) * z_k.
-        let mut local = self.h[k];
-        for (&(i, j), &jij) in self.couplings.range((k, 0)..(k + 1, 0)) {
-            debug_assert_eq!(i, k);
-            local += jij * z.spin(j).as_f64();
-        }
-        // Terms (i, k) with i < k are not contiguous; walk the neighbour list.
-        for (&(i, j), &jij) in &self.couplings {
-            if j == k {
-                local += jij * z.spin(i).as_f64();
-            }
-        }
-        Ok(-2.0 * local * z.spin(k).as_f64())
-    }
-
     /// The degree (number of incident non-zero couplings) of each variable.
     #[must_use]
     pub fn degrees(&self) -> Vec<usize> {
@@ -426,23 +394,6 @@ mod tests {
             m.energy(&SpinVec::all_up(3)),
             Err(IsingError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn flip_delta_agrees_with_energy_difference() {
-        let mut m = triangle();
-        m.set_linear(1, -0.7).unwrap();
-        m.set_coupling(1, 2, -1.5).unwrap();
-        for idx in 0..8u64 {
-            let z = SpinVec::from_index(idx, 3);
-            for k in 0..3 {
-                let mut zf = z.clone();
-                zf.flip(k);
-                let expect = m.energy(&zf).unwrap() - m.energy(&z).unwrap();
-                let got = m.flip_delta(&z, k).unwrap();
-                assert!((expect - got).abs() < 1e-12, "idx={idx} k={k}");
-            }
-        }
     }
 
     #[test]

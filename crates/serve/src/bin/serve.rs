@@ -2,10 +2,11 @@
 //!
 //! ```text
 //! serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-//!       [--cache-dir PATH] [--cache-capacity N] [--engine-threads N]
+//!       [--cache-dir PATH] [--cache-capacity N]
 //!       [--warm-from HOST:PORT] [--warm-limit N]
+//!       [--template-push-cap N]
 //!       [--job-ttl-secs N] [--max-done-jobs N]
-//!       [--backend sim|noise_model] [--max-body BYTES] [--sync-wait-secs N]
+//!       [--max-body BYTES] [--sync-wait-secs N] [--max-connections N]
 //!       [--auth-token TOKEN]
 //! ```
 //!
@@ -26,15 +27,13 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use fq_serve::{Server, ServerConfig};
-use frozenqubits::api::BackendSpec;
 
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-             [--cache-dir PATH] [--cache-capacity N] [--engine-threads N]
+             [--cache-dir PATH] [--cache-capacity N]
              [--warm-from HOST:PORT] [--warm-limit N]
              [--template-push-cap N]
              [--job-ttl-secs N] [--max-done-jobs N]
-             [--backend sim|noise_model] [--max-body BYTES]
-             [--sync-wait-secs N] [--max-connections N]
+             [--max-body BYTES] [--sync-wait-secs N] [--max-connections N]
              [--auth-token TOKEN]
 
 Serves the FrozenQubits job API over HTTP/1.1:
@@ -94,17 +93,10 @@ fn parse_args(args: &[String]) -> Result<Option<ServerConfig>, String> {
                 config.job_ttl = Duration::from_secs(numeric("--job-ttl-secs")? as u64);
             }
             "--max-done-jobs" => config.max_done_jobs = numeric("--max-done-jobs")?,
-            "--engine-threads" => config.engine_threads = numeric("--engine-threads")?,
             "--max-body" => config.max_body_bytes = numeric("--max-body")?,
             "--max-connections" => config.max_connections = numeric("--max-connections")?,
             "--sync-wait-secs" => {
                 config.sync_wait = Duration::from_secs(numeric("--sync-wait-secs")? as u64);
-            }
-            "--backend" => {
-                config.backend_override = Some(
-                    BackendSpec::from_name(value)
-                        .ok_or_else(|| format!("unknown backend `{value}` (sim|noise_model)"))?,
-                );
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -141,6 +133,38 @@ fn main() -> ExitCode {
         Err(error) => {
             eprintln!("serve: failed to start: {error}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_usage_flag_parses_and_no_other_does() {
+        // Each flag of the synopsis, followed by a value of the kind its
+        // placeholder names.
+        let synopsis = USAGE.split("\n\n").next().expect("a synopsis");
+        let words: Vec<&str> = synopsis
+            .split([' ', '\n', '[', ']'])
+            .filter(|word| !word.is_empty())
+            .collect();
+        let args: Vec<String> = words
+            .windows(2)
+            .filter(|pair| pair[0].starts_with("--"))
+            .flat_map(|pair| match pair[1] {
+                "N" | "BYTES" => [pair[0], "1"],
+                "HOST:PORT" => [pair[0], "127.0.0.1:1"],
+                other => [pair[0], other],
+            })
+            .map(str::to_string)
+            .collect();
+        assert!(args.len() > 20, "{args:?}");
+        assert!(parse_args(&args).unwrap().is_some());
+        for flag in ["--backend", "--engine-threads"] {
+            let error = parse_args(&[flag.to_string(), "1".to_string()]).unwrap_err();
+            assert!(error.contains("unknown flag"), "{error}");
         }
     }
 }

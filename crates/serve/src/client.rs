@@ -2,8 +2,10 @@
 //! examples, the e2e tests and CI smoke steps, with no dependencies
 //! beyond `std::net` (the same offline constraint as the server).
 //!
-//! Two tiers, by traffic shape, with one response reader: both frame
-//! responses by `content-length` under the same size cap.
+//! Two tiers, by traffic shape, with one request writer and one
+//! response reader: both send the same request bytes but for the
+//! `connection` header, and frame responses by `content-length` under
+//! the same size cap.
 //!
 //! * [`request`] and the typed helpers ([`submit_sync`],
 //!   [`submit_async`], [`poll`]) open one connection per call
@@ -28,6 +30,7 @@
 //! # Ok::<(), frozenqubits::FqError>(())
 //! ```
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -92,19 +95,7 @@ pub fn request(
 ) -> Result<HttpResponse, FqError> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(RESPONSE_TIMEOUT))?;
-
-    let mut out = format!("{method} {target} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n");
-    if let Some(body) = body {
-        out.push_str(&format!(
-            "content-type: application/json\r\ncontent-length: {}\r\n",
-            body.len()
-        ));
-    }
-    out.push_str("\r\n");
-    if let Some(body) = body {
-        out.push_str(body);
-    }
-    stream.write_all(out.as_bytes())?;
+    stream.write_all(request_bytes(addr, "close", None, method, target, body).as_bytes())?;
 
     // Framed like every keep-alive response, so the same size cap holds.
     let (response, _) = read_framed_response(&mut BufReader::new(stream))?;
@@ -245,24 +236,14 @@ impl ShardConn {
             self.connects += 1;
         }
 
-        let mut out = format!(
-            "{method} {target} HTTP/1.1\r\nhost: {}\r\nconnection: keep-alive\r\n",
-            self.addr
+        let out = request_bytes(
+            &self.addr,
+            "keep-alive",
+            self.auth_token.as_deref(),
+            method,
+            target,
+            body,
         );
-        if let Some(token) = &self.auth_token {
-            out.push_str(&format!("authorization: Bearer {token}\r\n"));
-        }
-        if let Some(body) = body {
-            out.push_str(&format!(
-                "content-type: application/json\r\ncontent-length: {}\r\n",
-                body.len()
-            ));
-        }
-        out.push_str("\r\n");
-        if let Some(body) = body {
-            out.push_str(body);
-        }
-
         let reader = self.stream.as_mut().expect("connection established above");
         reader.get_mut().write_all(out.as_bytes())?;
 
@@ -290,6 +271,41 @@ impl ShardConn {
         }
         Ok(response)
     }
+}
+
+/// One request's bytes, head and body, in one buffer: the `connection`
+/// header's value (`close` for a one-shot [`request`], `keep-alive` for a
+/// [`ShardConn`]), the bearer `token` when there is one, and a body
+/// framed by its length in bytes.
+fn request_bytes(
+    host: &str,
+    connection: &str,
+    token: Option<&str>,
+    method: &str,
+    target: &str,
+    body: Option<&str>,
+) -> String {
+    let body_len = body.map_or(0, str::len);
+    let mut out = String::with_capacity(
+        160 + host.len() + target.len() + token.map_or(0, str::len) + body_len,
+    );
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{method} {target} HTTP/1.1\r\nhost: {host}\r\nconnection: {connection}\r\n"
+    );
+    if let Some(token) = token {
+        let _ = write!(out, "authorization: Bearer {token}\r\n");
+    }
+    if let Some(body) = body {
+        let _ = write!(
+            out,
+            "content-type: application/json\r\ncontent-length: {body_len}\r\n\r\n{body}"
+        );
+    } else {
+        out.push_str("\r\n");
+    }
+    out
 }
 
 /// Reads one `content-length`-framed response. Returns the response
@@ -423,18 +439,7 @@ fn index_at(addr: &str, target: &str) -> Result<Vec<(String, u64)>, FqError> {
     if response.status != 200 {
         return Err(service_error(&response));
     }
-    response
-        .json()?
-        .field("templates")?
-        .as_array()?
-        .iter()
-        .map(|entry| {
-            Ok((
-                entry.field("fingerprint")?.as_str()?.to_string(),
-                entry.field("last_used")?.as_u64()?,
-            ))
-        })
-        .collect()
+    crate::wire::parse_template_index(&response.body)
 }
 
 /// Fetches one template artifact from a peer shard by fingerprint.

@@ -24,7 +24,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fq_faults::{FaultPlan, FaultyStore};
-use frozenqubits::api::BackendSpec;
 use frozenqubits::{
     BatchRunner, DiskStore, FqError, JobResult, JobSpec, MemoryStore, QosTier, TemplateArtifact,
     TemplateStore, TieredStore,
@@ -35,7 +34,7 @@ use crate::error::{error_response, kind_name, method_not_allowed, not_found, sta
 use crate::http::{Request, Response};
 use crate::jobs::Jobs;
 use crate::listener::{Limits, Listener, ServerHandle};
-use crate::wire::{healthz_body, WIRE_V};
+use crate::wire::{healthz_body, template_index_body, WIRE_V};
 use crate::worker::{execute, WorkerPool};
 
 /// Server configuration. Start from [`ServerConfig::default`] and
@@ -68,8 +67,8 @@ pub struct ServerConfig {
     /// Bound on queued-but-unclaimed jobs; beyond it submissions get
     /// `503`. Must be ≥ 1.
     pub queue_capacity: usize,
-    /// Optional LRU bound on the shared template cache
-    /// ([`BatchRunner::with_cache_capacity`]); `None` = unbounded.
+    /// Optional LRU bound on the shared template cache's memory tier
+    /// ([`MemoryStore::with_capacity`]); `None` = unbounded.
     pub cache_capacity: Option<usize>,
     /// When set, compiled templates spill to (and warm-start from) this
     /// directory through a [`TieredStore`]: every compile is written
@@ -98,12 +97,6 @@ pub struct ServerConfig {
     /// Most finished results retained at once (oldest-completed expire
     /// first).
     pub max_done_jobs: usize,
-    /// Thread count each worker's engine uses for one job's branches
-    /// (`BatchRunner::with_threads`). The default `1` is right when
-    /// parallelism comes from concurrent workers; raise it for
-    /// branch-heavy single jobs on an otherwise idle service. `0` =
-    /// the engine's auto count (honors `FQ_THREADS`).
-    pub engine_threads: usize,
     /// Largest accepted request body, in bytes; beyond it → `413`.
     pub max_body_bytes: usize,
     /// Socket read timeout — bounds how long any **single** read may
@@ -122,11 +115,6 @@ pub struct ServerConfig {
     /// How long a synchronous submission waits before degrading to an
     /// async-style `202` (the job keeps running; poll the id).
     pub sync_wait: Duration,
-    /// When set, every submitted spec is pinned to this backend
-    /// ([`JobSpec::with_backend`]) — the operator's backend-selection
-    /// hook (e.g. forcing `sim` while a real-device backend is in
-    /// shakedown).
-    pub backend_override: Option<BackendSpec>,
     /// When set, `POST /v1/templates` requires `authorization: Bearer
     /// <token>` and answers `401` otherwise. Template pushes inject
     /// remote artifacts into the execution path, so they are the one
@@ -156,13 +144,11 @@ impl Default for ServerConfig {
             template_push_cap: 4096,
             job_ttl: Duration::from_secs(3600),
             max_done_jobs: 4096,
-            engine_threads: 1,
             max_body_bytes: 4 * 1024 * 1024,
             read_timeout: Duration::from_secs(30),
             request_deadline: Duration::from_secs(60),
             max_connections: 256,
             sync_wait: Duration::from_secs(120),
-            backend_override: None,
             auth_token: None,
             fault_plan: None,
         }
@@ -218,27 +204,21 @@ impl Server {
             },
         )?;
 
-        let mut runner = BatchRunner::new().with_threads(config.engine_threads);
-        runner = match (&config.cache_dir, config.cache_capacity) {
-            // A cache dir composes the memory tier (bounded or not) over
-            // the disk spill tier; a bad directory is a startup error.
-            (Some(dir), capacity) => {
-                let memory = capacity.map_or_else(MemoryStore::new, MemoryStore::with_capacity);
-                let tiered: Box<dyn TemplateStore> =
-                    Box::new(TieredStore::new(memory, DiskStore::new(dir)?));
-                runner.with_store(faulted(tiered, config.fault_plan.as_ref()))
-            }
-            // A fault plan forces the explicit-store path even without a
-            // cache dir, so storage faults can wrap the memory tier; the
-            // store built here is exactly what `with_cache_capacity`
-            // would have installed.
-            (None, capacity) if config.fault_plan.is_some() => {
-                let memory = capacity.map_or_else(MemoryStore::new, MemoryStore::with_capacity);
-                runner.with_store(faulted(Box::new(memory), config.fault_plan.as_ref()))
-            }
-            (None, Some(capacity)) => runner.with_cache_capacity(capacity),
-            (None, None) => runner,
+        // The memory tier, over the disk spill tier when a cache dir is
+        // set (a bad directory is a startup error), under the chaos
+        // plan's storage faults when one is armed. Each job runs its
+        // branches on its worker's thread: the worker pool is the
+        // shard's parallelism.
+        let memory = config
+            .cache_capacity
+            .map_or_else(MemoryStore::new, MemoryStore::with_capacity);
+        let store: Box<dyn TemplateStore> = match &config.cache_dir {
+            Some(dir) => Box::new(TieredStore::new(memory, DiskStore::new(dir)?)),
+            None => Box::new(memory),
         };
+        let runner = BatchRunner::new()
+            .with_threads(1)
+            .with_store(faulted(store, config.fault_plan.as_ref()));
         if let Some(peer) = &config.warm_from {
             // Best effort: a cold start is a performance problem, a
             // refused boot would be an availability one.
@@ -303,7 +283,10 @@ fn handle_request(state: &ServerState, request: &Request) -> Response {
         ("POST", "/v1/jobs") => state.jobs.submit(request, |body| parse_spec(state, body)),
         (method, "/v1/jobs") => method_not_allowed(method, "POST"),
         ("GET", "/v1/templates") => match index_limit(request) {
-            Ok(limit) => Response::json(200, template_index_body(state, limit)),
+            Ok(limit) => {
+                let index = state.runner.cache().index().into_iter().take(limit);
+                Response::json(200, template_index_body(index))
+            }
             Err(message) => error_response(400, "bad_request", &message),
         },
         ("POST", "/v1/templates") => match request.authorized(state.config.auth_token.as_deref()) {
@@ -392,16 +375,12 @@ fn template_artifact(state: &ServerState, request: &Request, raw_fp: &str) -> Re
     }
 }
 
-/// The shard's parse of a `POST /v1/jobs` body: decode the spec, apply
-/// the operator's backend pin, and count the submission's tier.
+/// The shard's parse of a `POST /v1/jobs` body: decode the spec and
+/// count the submission's tier.
 fn parse_spec(state: &ServerState, body: &str) -> Result<JobSpec, Response> {
     let spec = JobSpec::from_json(body).map_err(|error| {
         error_response(status_for(&error), kind_name(&error), &error.to_string())
     })?;
-    let spec = match state.config.backend_override {
-        Some(backend) => spec.with_backend(backend),
-        None => spec,
-    };
     if let Some(slot) = QosTier::ALL.iter().position(|&t| t == spec.config.tier) {
         state.tier_submitted[slot].fetch_add(1, Ordering::SeqCst);
     }
@@ -453,45 +432,13 @@ fn handle_template_push(state: &ServerState, request: &Request) -> Response {
     }
 }
 
-/// The `?limit=K` of `GET /v1/templates`: `None` when absent, an error
-/// message when it is not a non-negative integer.
-fn index_limit(request: &Request) -> Result<Option<usize>, String> {
-    request
-        .query_param("limit")
-        .map(|raw| {
-            raw.parse()
-                .map_err(|_| format!("`limit` must be a non-negative integer (got `{raw}`)"))
-        })
-        .transpose()
-}
-
-/// `GET /v1/templates[?limit=K]`: resident templates' fingerprints with
-/// a recency stamp, hottest first — all of them, or the `K` hottest.
-/// What a peer pulls to plan its warm set, and what the dispatcher's
-/// sentinel probes to find strays.
-fn template_index_body(state: &ServerState, limit: Option<usize>) -> String {
-    Value::object(vec![
-        ("v", Value::UInt(WIRE_V)),
-        (
-            "templates",
-            Value::Array(
-                state
-                    .runner
-                    .cache()
-                    .index()
-                    .into_iter()
-                    .take(limit.unwrap_or(usize::MAX))
-                    .map(|entry| {
-                        Value::object(vec![
-                            ("fingerprint", Value::string(entry.fingerprint)),
-                            ("last_used", Value::UInt(entry.last_used)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_json()
+/// The `?limit=K` of `GET /v1/templates`: `usize::MAX` when absent, an
+/// error message when it is not a non-negative integer.
+fn index_limit(request: &Request) -> Result<usize, String> {
+    request.query_param("limit").map_or(Ok(usize::MAX), |raw| {
+        raw.parse()
+            .map_err(|_| format!("`limit` must be a non-negative integer (got `{raw}`)"))
+    })
 }
 
 /// `GET /v1/stats`: cache, queue, job and worker telemetry.

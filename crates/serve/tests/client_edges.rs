@@ -3,11 +3,11 @@
 //! shape must surface as a typed [`FqError`], never a panic — the
 //! dispatcher's retry policy is built on matching these errors.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
 
-use fq_serve::client::ShardConn;
+use fq_serve::client::{self, ShardConn};
 use frozenqubits::FqError;
 
 /// Reads one request head (through the blank line) off a fake-shard
@@ -137,6 +137,63 @@ fn shard_conn_sends_bearer_token() {
     conn.set_token("hunter2");
     conn.request("GET", "/v1/stats", None).unwrap();
     assert_eq!(shard.join().unwrap().as_deref(), Some("Bearer hunter2"));
+}
+
+/// Accepts one connection on `listener` and reads requests of the given
+/// byte lengths off it, answering each with an empty `200`; returns what
+/// it read.
+fn capture(listener: TcpListener, lengths: Vec<usize>) -> thread::JoinHandle<Vec<String>> {
+    thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let timeout = std::time::Duration::from_secs(10);
+        stream.set_read_timeout(Some(timeout)).unwrap();
+        let mut requests = Vec::new();
+        for length in lengths {
+            let mut raw = vec![0u8; length];
+            stream.read_exact(&mut raw).unwrap();
+            requests.push(String::from_utf8(raw).unwrap());
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 0\r\n\r\n")
+                .unwrap();
+        }
+        requests
+    })
+}
+
+/// The exact bytes of each kind of request: a one-shot request closes
+/// its connection; a keep-alive one keeps it and carries the
+/// connection's bearer token once one is set. Bodies are framed by
+/// their length in bytes.
+#[test]
+fn requests_put_their_exact_bytes_on_the_wire() {
+    let body = r#"{"v":1,"note":"café"}"#;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let one_shot = format!(
+        "POST /v1/jobs?mode=async HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
+         content-type: application/json\r\ncontent-length: 22\r\n\r\n{body}"
+    );
+    let shard = capture(listener, vec![one_shot.len()]);
+    client::request(&addr, "POST", "/v1/jobs?mode=async", Some(body)).unwrap();
+    assert_eq!(shard.join().unwrap(), [one_shot]);
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let expected = [
+        format!("GET /v1/stats HTTP/1.1\r\nhost: {addr}\r\nconnection: keep-alive\r\n\r\n"),
+        format!(
+            "POST /v1/templates HTTP/1.1\r\nhost: {addr}\r\nconnection: keep-alive\r\n\
+             authorization: Bearer hunter2\r\ncontent-type: application/json\r\n\
+             content-length: 22\r\n\r\n{body}"
+        ),
+    ];
+    let shard = capture(listener, expected.iter().map(String::len).collect());
+    let mut conn = ShardConn::new(&addr);
+    conn.request("GET", "/v1/stats", None).unwrap();
+    conn.set_token("hunter2");
+    conn.request("POST", "/v1/templates", Some(body)).unwrap();
+    assert_eq!(shard.join().unwrap(), expected);
+    assert_eq!(conn.connects(), 1);
 }
 
 // ---------------------------------------------------------------------

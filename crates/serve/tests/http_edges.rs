@@ -818,6 +818,49 @@ fn template_push_cap_refuses_unbounded_growth() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `cache_capacity` bounds a shard's memory tier whether or not a
+/// `cache_dir` puts the disk tier under it: both shards report the bound
+/// in `/v1/stats`, and the second of two distinct templates evicts the
+/// first from memory, while the disk-backed shard has written both
+/// through to disk.
+#[test]
+fn cache_capacity_bounds_the_store_with_and_without_a_cache_dir() {
+    let dir = std::env::temp_dir().join(format!("fq-store-chain-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for cache_dir in [None, Some(dir.to_string_lossy().into_owned())] {
+        let spilled = if cache_dir.is_some() { 2 } else { 0 };
+        let (handle, addr) = spawn(ServerConfig {
+            workers: 1,
+            cache_capacity: Some(1),
+            cache_dir,
+            ..ServerConfig::default()
+        });
+        for n in [8, 9] {
+            let spec = JobBuilder::new()
+                .barabasi_albert(n, 1, 1)
+                .device(DeviceSpec::IbmMontreal)
+                .baseline()
+                .build()
+                .unwrap();
+            client::submit_sync(&addr, &spec).unwrap();
+        }
+        let stats = client::request(&addr, "GET", "/v1/stats", None)
+            .unwrap()
+            .json()
+            .unwrap();
+        let cache = stats.field("cache").unwrap();
+        let count = |field: &str| cache.field(field).unwrap().as_u64().unwrap();
+        assert_eq!(count("capacity"), 1);
+        assert_eq!(
+            (count("misses"), count("len"), count("evictions")),
+            (2, 1, 1)
+        );
+        assert_eq!((count("spills"), count("spill_len")), (spilled, spilled));
+        handle.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A pushable template artifact for the BA(n, d=1, seed=1) shape on
 /// `ibmq_montreal` (the small spec's shape at `n = 8`).
 fn ba_artifact(n: usize) -> frozenqubits::TemplateArtifact {

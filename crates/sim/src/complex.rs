@@ -64,15 +64,6 @@ impl Complex {
         self.norm_sqr().sqrt()
     }
 
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Complex {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Multiplication by a real scalar.
     #[must_use]
     pub fn scale(self, s: f64) -> Complex {
@@ -150,8 +141,6 @@ mod tests {
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z + Complex::ZERO, z);
         assert_eq!(z * Complex::ONE, z);
-        assert_eq!((z * z.conj()).re, 25.0);
-        assert!((z * z.conj()).im.abs() < 1e-12);
     }
 
     #[test]

@@ -62,13 +62,6 @@ pub struct FidelityModel {
 }
 
 impl FidelityModel {
-    /// The whole-circuit survival factor (may underflow to 0 for huge
-    /// circuits; use [`FidelityModel::log_process_fidelity`] then).
-    #[must_use]
-    pub fn process_fidelity(&self) -> f64 {
-        self.log_process_fidelity.exp()
-    }
-
     /// The attenuation applied to `⟨Z_i⟩`.
     #[must_use]
     pub fn z_attenuation(&self, i: usize) -> f64 {
@@ -545,7 +538,7 @@ mod tests {
         let dev = Device::ideal("ideal", Topology::grid(3, 3).unwrap());
         let (_, c) = compiled_on(&dev, 6);
         let f = fidelity_model(&c, &dev);
-        assert!((f.process_fidelity() - 1.0).abs() < 1e-12);
+        assert!(f.log_process_fidelity.abs() < 1e-12);
         assert!((f.zz_attenuation(0, 1) - 1.0).abs() < 1e-12);
     }
 

@@ -17,15 +17,6 @@ pub struct Schedule {
     pub busy_ns: Vec<f64>,
 }
 
-impl Schedule {
-    /// Per-qubit idle time: total duration minus busy time. During idle
-    /// windows qubits decohere (the `T1/T2` part of the error model).
-    #[must_use]
-    pub fn idle_ns(&self, q: usize) -> f64 {
-        (self.duration_ns - self.busy_ns.get(q).copied().unwrap_or(0.0)).max(0.0)
-    }
-}
-
 /// Computes the as-soon-as-possible schedule of a circuit.
 ///
 /// `Rz` gates are virtual (zero duration, §3.3); a SWAP takes 3 CNOT
@@ -122,15 +113,5 @@ mod tests {
         qc.swap(0, 1).unwrap();
         let s = schedule(&qc, GateDurations::default());
         assert_eq!(s.duration_ns, 1200.0);
-    }
-
-    #[test]
-    fn idle_time_accounts_for_waiting() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.cx(0, 1).unwrap();
-        qc.h(0).unwrap(); // qubit 1 idles for 40 ns
-        let s = schedule(&qc, GateDurations::default());
-        assert_eq!(s.idle_ns(1), 40.0);
-        assert_eq!(s.idle_ns(0), 0.0);
     }
 }
