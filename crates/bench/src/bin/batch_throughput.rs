@@ -12,16 +12,17 @@
 //! fastest run, its median and the distance between its quartiles.
 //!
 //! It then measures **cold vs. warm start** through a disk-spill store:
-//! one runner populates a fresh `--cache-dir`-style directory, a second
-//! "restarted" runner replays the batch from it — asserting zero new
-//! `compile_invocations()` and byte-identical results — quantifying
-//! exactly what disk warm-start saves.
+//! in each round one runner populates a fresh `--cache-dir`-style
+//! directory and a second "restarted" runner replays the batch from it —
+//! asserting zero new `compile_invocations()` and byte-identical results
+//! on every warm run — and each side reports its fastest run, its median
+//! and the distance between its quartiles.
 //!
 //! Knobs:
 //! * `FQ_BENCH_JOBS` — job count (default 96; CI smoke uses a small
 //!   value).
-//! * `FQ_BENCH_ITERS` — timing rounds, one run per thread count each
-//!   (default 15).
+//! * `FQ_BENCH_ITERS` — timing rounds, one run per thread count each,
+//!   and as many cold/warm start pairs (default 15).
 //!
 //! The JSON lands at the workspace root as `BENCH_batch.json`, where the
 //! perf trajectory across PRs accumulates (machine-readable, append-style
@@ -172,42 +173,59 @@ fn main() {
     println!("templates compiled per cold run: {templates}");
 
     // — Cold vs. warm start through a disk-spill store: what does a
-    // restart cost with and without `--cache-dir`?
+    // restart cost with and without `--cache-dir`? Each round times a
+    // cold run into a fresh directory, then a "restarted" runner's warm
+    // run from it, so host drift reaches both alike.
     let cache_dir = std::env::temp_dir().join(format!("fq-bench-warm-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    let cold_runner = BatchRunner::new()
-        .with_cache_dir(&cache_dir)
-        .expect("temp cache dir");
-    let t0 = Instant::now();
-    let cold_results = cold_runner.run(&specs);
-    let cold_seconds = t0.elapsed().as_secs_f64();
+    let mut cold = Vec::with_capacity(iters);
+    let mut warm = Vec::with_capacity(iters);
+    for _ in 0..iters {
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let cold_runner = BatchRunner::new()
+            .with_cache_dir(&cache_dir)
+            .expect("temp cache dir");
+        let t0 = Instant::now();
+        let cold_results = cold_runner.run(&specs);
+        cold.push(t0.elapsed().as_secs_f64());
 
-    let warm_runner = BatchRunner::new()
-        .with_cache_dir(&cache_dir)
-        .expect("temp cache dir");
-    let before = fq_transpile::compile_invocations();
-    let t0 = Instant::now();
-    let warm_results = warm_runner.run(&specs);
-    let warm_seconds = t0.elapsed().as_secs_f64();
-    let warm_compiles = fq_transpile::compile_invocations() - before;
-    assert_eq!(
-        warm_compiles, 0,
-        "the restarted runner must serve every template from disk"
-    );
-    for (c, w) in cold_results.iter().zip(&warm_results) {
+        let warm_runner = BatchRunner::new()
+            .with_cache_dir(&cache_dir)
+            .expect("temp cache dir");
+        let before = fq_transpile::compile_invocations();
+        let t0 = Instant::now();
+        let warm_results = warm_runner.run(&specs);
+        warm.push(t0.elapsed().as_secs_f64());
+        let warm_compiles = fq_transpile::compile_invocations() - before;
         assert_eq!(
-            c.as_ref().unwrap(),
-            w.as_ref().unwrap(),
-            "warm results diverged from cold"
+            warm_compiles, 0,
+            "the restarted runner must serve every template from disk"
         );
+        for (c, w) in cold_results.iter().zip(&warm_results) {
+            assert_eq!(
+                c.as_ref().unwrap(),
+                w.as_ref().unwrap(),
+                "warm results diverged from cold"
+            );
+        }
     }
-    let warm_speedup = cold_seconds / warm_seconds;
-    println!(
-        "warm start: cold {:>10}   warm {:>10}   speedup {warm_speedup:.2}x   (0 compiles on the warm run)",
-        fmt_time(cold_seconds),
-        fmt_time(warm_seconds)
-    );
     let _ = std::fs::remove_dir_all(&cache_dir);
+    cold.sort_by(f64::total_cmp);
+    warm.sort_by(f64::total_cmp);
+    let (cold_seconds, warm_seconds) = (cold[0], warm[0]);
+    let (cold_median, warm_median) = (quantile(&cold, 0.5), quantile(&warm, 0.5));
+    let cold_iqr = quantile(&cold, 0.75) - quantile(&cold, 0.25);
+    let warm_iqr = quantile(&warm, 0.75) - quantile(&warm, 0.25);
+    let warm_speedup = cold_seconds / warm_seconds;
+    let warm_median_speedup = cold_median / warm_median;
+    println!(
+        "warm start: cold {:>10}   warm {:>10}   speedup {warm_speedup:.2}x   median cold {} (IQR {})   warm {} (IQR {})   median speedup {warm_median_speedup:.2}x   (0 compiles on every warm run)",
+        fmt_time(cold_seconds),
+        fmt_time(warm_seconds),
+        fmt_time(cold_median),
+        fmt_time(cold_iqr),
+        fmt_time(warm_median),
+        fmt_time(warm_iqr)
+    );
 
     // — QoS tiers: the accuracy/speed contract measured on the same
     // corpus. Warm cache (tiers share compiled templates) and a single
@@ -278,7 +296,10 @@ fn main() {
          \"max_speedup_vs_sequential\": {max_speedup:.3},\n  \"points\": [{rows}\n  ],\n  \
          \"tiers\": [{tier_rows}\n  ],\n  \
          \"warm_start\": {{\"cold_seconds\":{cold_seconds:.6},\"warm_seconds\":{warm_seconds:.6},\
-         \"speedup\":{warm_speedup:.3},\"warm_compiles\":0}},\n  \
+         \"speedup\":{warm_speedup:.3},\"warm_compiles\":0,\
+         \"cold_median_seconds\":{cold_median:.6},\"cold_iqr_seconds\":{cold_iqr:.6},\
+         \"warm_median_seconds\":{warm_median:.6},\"warm_iqr_seconds\":{warm_iqr:.6},\
+         \"median_speedup\":{warm_median_speedup:.3}}},\n  \
          \"note\": \"speedup scales with available cores; a single-core runner reports ~1.0\"\n}}\n"
     );
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_batch.json");

@@ -192,18 +192,14 @@ pub fn fig17_compile_time() {
         let plan = plan_execution(&model, &device, &cfg).expect("plans");
         let t_plan = t0.elapsed().as_secs_f64();
         let compiles = compile_invocations() - compiles_before;
-        assert_eq!(
-            compiles,
-            plan.num_templates() as u64,
-            "one compile per shape"
-        );
+        assert_eq!(compiles, 1, "one compile per plan");
 
         // Editing time for the branch executables (measure a few, scale).
         let probe = plan.num_branches().clamp(1, 8);
         let t0 = Instant::now();
         for b in 0..probe {
             let _ = plan
-                .template_for(b)
+                .template()
                 .edit_for(plan.branch(b).problem.model())
                 .expect("edits");
         }
@@ -213,14 +209,14 @@ pub fn fig17_compile_time() {
         println!(
             "{m:>3} | {:>8} | {:>9} | {:>12.3} | {t_seq:>13.5} | {:>10.2e}",
             plan.num_branches(),
-            plan.num_templates(),
+            compiles,
             t_plan / t_base,
             t_seq / t_plan
         );
         rows.push(vec![
             m.to_string(),
             plan.num_branches().to_string(),
-            plan.num_templates().to_string(),
+            compiles.to_string(),
             format!("{:.5}", t_plan / t_base),
             format!("{t_seq:.6}"),
         ]);

@@ -11,19 +11,19 @@ use fq_transpile::Device;
 use super::wire::problem_to_value;
 use super::{Job, JobUnit, UnitOutput, UnitRole};
 use crate::executor::{execute_branch, sample_branch};
-use crate::plan::{plan_execution_cached, CacheStats, ExecutionPlan, TemplateCache};
-use crate::store::{DiskStore, MemoryStore, TemplateStore, TieredStore};
+use crate::plan::{plan_execution_cached, ExecutionPlan, TemplateCache};
+use crate::store::{CacheStats, MemoryStore, TemplateStore};
 use crate::{BranchOutcome, BranchSamples, ExecutorKind, FqError, JobResult, JobSpec};
 
 /// Runs many [`JobSpec`]s against one shared [`TemplateCache`],
 /// saturating the machine across **jobs × branches**.
 ///
-/// PR 1 made the compile cost of one job `O(distinct shapes)` instead of
-/// `O(2^m)`; the batch runner extends that across jobs — a parameter sweep
+/// Planning compiles one template per job unit instead of one per
+/// branch; the batch runner extends that across jobs — a parameter sweep
 /// over the same problem family compiles each distinct (shape, device,
-/// layers, options) combination **once for the whole batch** — and since
-/// this PR it also flattens the batch into per-branch work items drained
-/// by one shared work-stealing pool. A batch of 100 four-branch jobs is
+/// layers, options) combination **once for the whole batch** — and it
+/// flattens the batch into per-branch work items drained by one shared
+/// work-stealing pool. A batch of 100 four-branch jobs is
 /// 400 independent items on that pool, not 100 mostly-idle 4-way bursts,
 /// so sweeps scale with the core count rather than with `2^{m−1}`.
 ///
@@ -160,9 +160,9 @@ impl BatchRunner {
     }
 
     /// Replaces the template cache's backing [`TemplateStore`] — the
-    /// persistence seam. Pass a
-    /// [`TieredStore`](crate::TieredStore) to spill compiled templates
-    /// to disk; [`BatchRunner::with_cache_dir`] is the one-call form.
+    /// persistence seam. Pass a [`MemoryStore::spill_to`] store to spill
+    /// compiled templates to disk; [`BatchRunner::with_cache_dir`] is the
+    /// one-call form.
     #[must_use]
     pub fn with_store(mut self, store: Box<dyn TemplateStore>) -> BatchRunner {
         self.cache = TemplateCache::with_store(store);
@@ -180,8 +180,7 @@ impl BatchRunner {
     ///
     /// Returns [`FqError::Io`] when `dir` cannot be created.
     pub fn with_cache_dir(self, dir: impl AsRef<std::path::Path>) -> Result<BatchRunner, FqError> {
-        let disk = DiskStore::new(dir)?;
-        Ok(self.with_store(Box::new(TieredStore::new(MemoryStore::new(), disk))))
+        Ok(self.with_store(Box::new(MemoryStore::new().spill_to(dir)?)))
     }
 
     /// The shared template cache — warm-transfer surface included
@@ -224,7 +223,7 @@ impl BatchRunner {
         }
 
         // Phase 1 — plan every unit in parallel against the shared
-        // concurrent cache. The per-key once-compile slots guarantee each
+        // concurrent cache. One compile slot per key guarantees each
         // distinct template is compiled exactly once even when many units
         // race for it; distinct templates compile concurrently.
         let threads = ExecutorKind::Threads(self.threads).threads(pending.len());

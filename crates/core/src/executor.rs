@@ -176,9 +176,7 @@ pub(crate) fn execute_branch(
         (BackendSpec::Sim, None) => usize::MAX,
         (BackendSpec::Sim, Some(em)) => em.lightcone_depth,
     };
-    let tables = plan
-        .template_for(branch)
-        .noise_tables(model, p, device, depth)?;
+    let tables = plan.template().noise_tables(model, p, device, depth)?;
     // The per-term expectations are computed once; the scalar ideal
     // expectation is assembled from them bit-identically instead of a
     // second full evaluation (the old two-call path recomputed every
@@ -231,7 +229,7 @@ pub(crate) fn sample_branch(
     let model = exec.problem.model();
     let (gammas, betas) =
         optimize_layers(model, plan.layers(), config.param_grid, None, config.seed)?;
-    let edited = plan.template_for(branch).edit_for(model)?;
+    let edited = plan.template().edit_for(model)?;
     let bound = edited.circuit.bind(&gammas, &betas)?;
     let compiled = edited.instantiate(bound);
     let sampler = NoisySamplerConfig {

@@ -16,8 +16,8 @@
 //!
 //! Execution follows a two-phase **plan/execute** architecture:
 //! [`plan_execution`] freezes the hotspots, partitions the state space and
-//! compiles **one** [`CompiledTemplate`] per distinct sub-circuit shape
-//! (usually exactly one), then every branch runs on the shared template —
+//! compiles **one** [`CompiledTemplate`] for all of its branches (they
+//! share one sub-circuit shape), then every branch runs on that template —
 //! sequentially, or in parallel across all cores, as the
 //! [`ExecutorKind`] says: analytic branches read its memoized noise
 //! tables, sampling branches angle-edit it. The public front door over
@@ -35,8 +35,8 @@
 //! * [`partition_problem`] — `2^m` sub-problems with symmetry pruning
 //!   (§3.3, §3.7.2);
 //! * [`CompiledTemplate`] — compile-once/edit-many executables (§3.7.1);
-//! * [`plan_execution`] / [`ExecutionPlan`] — phase 1: partition + shared
-//!   templates;
+//! * [`plan_execution`] / [`ExecutionPlan`] — phase 1: partition + the
+//!   one shared template;
 //! * [`api::Backend`] — phase 2: a [`api::BackendSpec`] built with an
 //!   [`ExecutorKind`] runs one plan's branches, bit-identical at every
 //!   thread count;
@@ -94,12 +94,12 @@ pub use hotspot::{edges_eliminated, select_hotspots, HotspotStrategy};
 pub use partition::{partition_problem, Partition, SubproblemExec, MAX_FROZEN_QUBITS};
 pub use pipeline::{optimize_parameters_prepared, CircuitMetrics, Report, RunSummary};
 pub use plan::{
-    plan_execution, plan_execution_cached, CacheStats, ExecutionPlan, ShapeSignature, TemplateCache,
+    plan_execution, plan_execution_cached, ExecutionPlan, ShapeSignature, TemplateCache,
 };
 pub use solve::SolveOutcome;
 pub use store::{
-    is_template_fingerprint, DiskStore, MemoryStore, StoreStats, TemplateArtifact,
-    TemplateIndexEntry, TemplateKey, TemplateStore, TieredStore, TEMPLATE_WIRE_VERSION,
+    is_template_fingerprint, CacheStats, MemoryStore, TemplateArtifact, TemplateIndexEntry,
+    TemplateKey, TemplateStore, TEMPLATE_WIRE_VERSION,
 };
 pub use template::CompiledTemplate;
 // The one FNV-1a of the workspace, for crates that hash stable names

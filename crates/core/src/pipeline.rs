@@ -5,7 +5,7 @@
 //! The pipeline's entry points are the job API in [`crate::api`]:
 //! [`JobBuilder`](crate::api::JobBuilder) → [`JobSpec`](crate::api::JobSpec)
 //! → [`JobResult`](crate::api::JobResult), executed over the two-phase
-//! plan/execute core (one shared template per distinct sub-circuit shape,
+//! plan/execute core (one template per plan shared by all its branches,
 //! branches fanned out by the configured executor). This module holds
 //! what every branch shares: the parameter optimizers, and the result
 //! types with the weighted aggregation that turns branch outcomes into

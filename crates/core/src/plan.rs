@@ -3,25 +3,28 @@
 //!
 //! Freezing `m` hotspots yields `2^m` (or `2^{m−1}` under pruning)
 //! sub-circuits that are *structurally identical* up to rotation angles
-//! (§3.3): planning exploits that by compiling **one**
-//! [`CompiledTemplate`] per distinct sub-circuit shape — in the common
-//! case exactly one for the whole plan — instead of one compile per
-//! branch. Phase 2 (a [`Backend`](crate::Backend), or the batch engine's
-//! pool) then runs each branch on the shared template — reading its memoized noise tables, or
-//! angle-editing it when the branch samples — so the quantum compile cost
-//! of the `m` knob is `O(1)` rather than `O(2^m)` and branch execution can
-//! fan out across cores.
+//! (§3.3): freezing changes only linear terms and the offset, so every
+//! branch has branch 0's [`ShapeSignature`] (a property
+//! `tests/freeze_props.rs` checks over generated models). Planning
+//! therefore compiles **one** [`CompiledTemplate`] per plan instead of one
+//! per branch. Phase 2 (a [`Backend`](crate::Backend), or the batch
+//! engine's pool) then runs each branch on that template — reading its
+//! memoized noise tables, or angle-editing it when the branch samples — so
+//! the quantum compile cost of the `m` knob is `O(1)` rather than
+//! `O(2^m)` and branch execution can fan out across cores.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use fq_ising::IsingModel;
 use fq_transpile::{CompileOptions, Device};
 
 use crate::api::ErrorModel;
 use crate::pipeline::optimize_layers;
-use crate::store::{MemoryStore, TemplateArtifact, TemplateIndexEntry, TemplateKey, TemplateStore};
+use crate::store::{
+    CacheStats, MemoryStore, TemplateArtifact, TemplateIndexEntry, TemplateKey, TemplateStore,
+};
 use crate::{
     partition_problem, select_hotspots, CompiledTemplate, FqError, FrozenQubitsConfig, Partition,
     QosTier, SubproblemExec,
@@ -73,16 +76,15 @@ impl ShapeSignature {
 }
 
 /// A fully planned execution: the partition into sub-problems plus the
-/// shared compiled templates, ready for a [`Backend`](crate::Backend).
+/// one compiled template every branch shares, ready for a
+/// [`Backend`](crate::Backend).
 ///
 /// Build one with [`plan_execution`].
 #[derive(Clone, Debug)]
 pub struct ExecutionPlan {
     parent: IsingModel,
     partition: Partition,
-    templates: Vec<CompiledTemplate>,
-    /// `branch_templates[b]` indexes into `templates` for branch `b`.
-    branch_templates: Vec<usize>,
+    template: CompiledTemplate,
     layers: usize,
     /// Memoized approximate-tier `(γ, β)` vectors, keyed by
     /// `(tier, seed, param_grid)` and shared across clones — see
@@ -136,22 +138,10 @@ impl ExecutionPlan {
         }
     }
 
-    /// The shared compiled templates, one per distinct sub-circuit shape.
+    /// The compiled template every branch runs on.
     #[must_use]
-    pub fn templates(&self) -> &[CompiledTemplate] {
-        &self.templates
-    }
-
-    /// How many distinct shapes the plan compiled (1 in the common case).
-    #[must_use]
-    pub fn num_templates(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// The template hosting branch `index` (panics if out of range).
-    #[must_use]
-    pub fn template_for(&self, index: usize) -> &CompiledTemplate {
-        &self.templates[self.branch_templates[index]]
+    pub fn template(&self) -> &CompiledTemplate {
+        &self.template
     }
 
     /// QAOA layer count the plan was built for.
@@ -224,7 +214,7 @@ impl ExecutionPlan {
 
 /// Builds the [`ExecutionPlan`] for `model` on `device`: hotspot
 /// selection, partitioning with symmetry pruning, and **one** template
-/// compilation per distinct sub-circuit shape.
+/// compilation for all of its branches.
 ///
 /// With `config.num_frozen = 0` the plan has a single branch — the
 /// original problem — which is how the baseline runs through the same
@@ -245,9 +235,9 @@ impl ExecutionPlan {
 /// let model = to_ising_pm1(&gen::barabasi_albert(12, 1, 3)?, 3);
 /// let cfg = FrozenQubitsConfig::with_frozen(3);
 /// let plan = plan_execution(&model, &Device::ibm_montreal(), &cfg)?;
-/// // 2^{3−1} = 4 branches, all sharing a single compiled template.
+/// // 2^{3−1} = 4 branches, all sharing one compiled 9-qubit template.
 /// assert_eq!(plan.num_branches(), 4);
-/// assert_eq!(plan.num_templates(), 1);
+/// assert_eq!(plan.template().compiled().logical_qubits, 9);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn plan_execution(
@@ -261,7 +251,7 @@ pub fn plan_execution(
 /// Like [`plan_execution`], but compiled templates are looked up in (and
 /// inserted into) `cache`, extending the per-plan amortization across
 /// plans: a [`BatchRunner`](crate::api::BatchRunner) passing one cache to
-/// many jobs compiles each distinct shape **once per batch**, not once
+/// many jobs compiles each distinct template **once per batch**, not once
 /// per job.
 ///
 /// # Errors
@@ -276,34 +266,18 @@ pub fn plan_execution_cached(
 ) -> Result<ExecutionPlan, FqError> {
     let hotspots = select_hotspots(model, config.num_frozen, &config.hotspots)?;
     let partition = partition_problem(model, &hotspots, config.prune_symmetric)?;
-    // Group branches by structural shape; compile (or fetch) one template
-    // per group.
-    let mut shapes: Vec<ShapeSignature> = Vec::new();
-    let mut templates: Vec<CompiledTemplate> = Vec::new();
-    let mut branch_templates = Vec::with_capacity(partition.executed.len());
-    for exec in &partition.executed {
-        let sig = ShapeSignature::of(exec.problem.model());
-        let id = match shapes.iter().position(|s| *s == sig) {
-            Some(id) => id,
-            None => {
-                templates.push(cache.get_or_compile(
-                    &sig,
-                    exec.problem.model(),
-                    config.layers,
-                    device,
-                    config.compile,
-                )?);
-                shapes.push(sig);
-                templates.len() - 1
-            }
-        };
-        branch_templates.push(id);
-    }
+    // Every branch shares branch 0's shape, and branch 0 is mask 0: the
+    // all-UP freeze whose key `Job::unit_fingerprints` predicts.
+    let template = cache.get_or_compile(
+        partition.executed[0].problem.model(),
+        config.layers,
+        device,
+        config.compile,
+    )?;
     Ok(ExecutionPlan {
         parent: model.clone(),
         partition,
-        templates,
-        branch_templates,
+        template,
         layers: config.layers,
         tier_params: Arc::default(),
     })
@@ -322,28 +296,25 @@ pub fn plan_execution_cached(
 ///
 /// # Storage
 ///
-/// Since the tiered-store refactor the cache owns only the *compile
-/// coordination*; where templates actually live is a pluggable
-/// [`TemplateStore`] ([`TemplateCache::with_store`]). The default is the
-/// in-memory [`MemoryStore`]; a
-/// [`TieredStore`](crate::TieredStore) adds a disk spill tier so
-/// restarts and sibling shards start warm, and
-/// [`TemplateCache::insert_artifact`] /
+/// The cache owns only the *compile coordination*; where templates live
+/// is a pluggable [`TemplateStore`] ([`TemplateCache::with_store`]). The
+/// default is the in-memory [`MemoryStore`];
+/// [`MemoryStore::spill_to`] adds a spill directory so restarts and
+/// sibling shards start warm, and [`TemplateCache::insert_artifact`] /
 /// [`TemplateCache::artifact`] / [`TemplateCache::index`] expose the
 /// store for shard-to-shard warm transfer.
 ///
 /// # Concurrency
 ///
-/// Each missing key gets a **once-compile** slot: the first thread to
-/// reach it compiles, concurrent requests for the *same* key block on
-/// that slot and then share the result (never compiling twice —
-/// observable via [`fq_transpile::compile_invocations`]), and requests
-/// for *other* keys proceed untouched. A failed compile is not cached:
-/// the first requester gets the error and any concurrent same-key
-/// waiters retry from scratch. A compile that *panics* (e.g. unwinding
-/// through a service worker's `catch_unwind`) publishes a failure from
-/// its drop guard, so one panicking job cannot wedge its shape key for
-/// every later job.
+/// Each missing key compiles through one slot: the first thread to miss
+/// it claims the slot and compiles, concurrent requests for the *same*
+/// key wait on that slot and share the result as hits (never compiling
+/// twice — observable via [`fq_transpile::compile_invocations`]), and
+/// requests for *other* keys proceed untouched. A failed compile is not
+/// cached: a waiter whose compiler failed, or panicked and so left the
+/// slot empty, retires the slot and retries from scratch. So every
+/// request that returns a failure compiled once itself, and one
+/// panicking job cannot wedge its key for every later job.
 ///
 /// # Bounding
 ///
@@ -355,83 +326,17 @@ pub fn plan_execution_cached(
 #[derive(Debug)]
 pub struct TemplateCache {
     store: Box<dyn TemplateStore>,
-    /// Per-key once-compile slots for compiles currently in flight.
-    inflight: Mutex<HashMap<TemplateKey, Arc<InflightCompile>>>,
+    /// The compile slot of every key being compiled.
+    inflight: Mutex<HashMap<TemplateKey, Arc<CompileSlot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Exact operation counters of a [`TemplateCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct CacheStats {
-    /// Lookups served from an already-compiled template (including
-    /// lookups that waited for a concurrent in-flight compile).
-    pub hits: u64,
-    /// Lookups that had to compile (successful or not).
-    pub misses: u64,
-    /// Templates evicted from the memory tier by the LRU bound.
-    pub evictions: u64,
-    /// Templates currently resident in the memory tier.
-    pub len: usize,
-    /// The LRU bound, if one is set.
-    pub capacity: Option<usize>,
-    /// Artifacts written to the spill tier (0 without one).
-    pub spills: u64,
-    /// Spill-tier hits promoted back into the memory tier.
-    pub promotions: u64,
-    /// Artifacts resident in the spill tier.
-    pub spill_len: usize,
-    /// Distinct artifacts resident across both tiers
-    /// ([`StoreStats::resident`](crate::StoreStats::resident)).
-    pub resident: usize,
-}
-
-/// One in-flight compile: waiters block on the condvar until the
-/// compiling thread publishes `Finished`.
-#[derive(Debug)]
-struct InflightCompile {
-    state: Mutex<InflightState>,
-    done: Condvar,
-}
-
-/// (Boxed: the slot spends most of its life as the slim `Compiling` tag
-/// and only briefly carries the template's footprint.)
-#[derive(Debug)]
-enum InflightState {
-    Compiling,
-    Finished(Box<Result<CompiledTemplate, FqError>>),
-}
-
-impl InflightCompile {
-    fn new() -> InflightCompile {
-        InflightCompile {
-            state: Mutex::new(InflightState::Compiling),
-            done: Condvar::new(),
-        }
-    }
-}
-
-/// Publishes a failure if the compiling thread unwinds before finishing
-/// (a panicking compile must not leave waiters blocked forever).
-struct CompileGuard<'a> {
-    cache: &'a TemplateCache,
-    key: &'a TemplateKey,
-    slot: &'a Arc<InflightCompile>,
-    armed: bool,
-}
-
-impl Drop for CompileGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.finish_compile(
-                self.key,
-                self.slot,
-                Err(FqError::Io("template compile panicked".into())),
-            );
-        }
-    }
-}
+/// One key's compile slot. Its compiler locks it before the slot is
+/// mapped and unlocks it once the outcome is published, so a waiter's
+/// `lock` is the wait; a slot still empty after that means the compiler
+/// panicked.
+type CompileSlot = Mutex<Option<Result<CompiledTemplate, FqError>>>;
 
 impl Default for TemplateCache {
     fn default() -> TemplateCache {
@@ -457,8 +362,8 @@ impl TemplateCache {
     }
 
     /// A cache over an explicit [`TemplateStore`] — the persistence seam:
-    /// pass a [`TieredStore`](crate::TieredStore) to spill templates to
-    /// disk and start warm after restarts.
+    /// pass a [`MemoryStore::spill_to`] store to spill templates to disk
+    /// and start warm after restarts.
     #[must_use]
     pub fn with_store(store: Box<dyn TemplateStore>) -> TemplateCache {
         TemplateCache {
@@ -486,17 +391,10 @@ impl TemplateCache {
     /// spill activity).
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let s = self.store.stats();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: s.evictions,
-            len: s.len,
-            capacity: s.capacity,
-            spills: s.spills,
-            promotions: s.promotions,
-            spill_len: s.spill_len,
-            resident: s.resident(),
+            ..self.store.stats()
         }
     }
 
@@ -523,108 +421,62 @@ impl TemplateCache {
         self.store.index()
     }
 
+    /// The template of `representative`'s shape for `device` at `layers`
+    /// under `options`: the store's, a concurrent compile's, or a fresh
+    /// compile of `representative`.
     fn get_or_compile(
         &self,
-        shape: &ShapeSignature,
         representative: &IsingModel,
         layers: usize,
         device: &Device,
         options: CompileOptions,
     ) -> Result<CompiledTemplate, FqError> {
-        let key = TemplateKey::new(shape.clone(), device, layers, options);
+        let key = TemplateKey::new(ShapeSignature::of(representative), device, layers, options);
         loop {
             if let Some(template) = self.store.fetch(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(template);
             }
-            // Miss: join an in-flight compile of this key, or claim it.
-            let (slot, claimed) = {
-                let mut inflight = self
-                    .inflight
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match inflight.get(&key) {
-                    Some(slot) => (Arc::clone(slot), false),
-                    None => {
-                        let slot = Arc::new(InflightCompile::new());
-                        inflight.insert(key.clone(), Arc::clone(&slot));
-                        (slot, true)
-                    }
+            let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(slot) = inflight.get(&key).cloned() {
+                drop(inflight);
+                let outcome = slot.lock().unwrap_or_else(PoisonError::into_inner).clone();
+                if let Some(Ok(template)) = outcome {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(template);
                 }
-            };
-            if !claimed {
-                // Wait for the compiling thread and share its outcome; a
-                // failure means our shot at the key is gone — retry from
-                // scratch (and possibly become the next compiler).
-                let mut state = slot
-                    .state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                while matches!(*state, InflightState::Compiling) {
-                    state = slot
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                match &*state {
-                    InflightState::Finished(outcome) => match outcome.as_ref() {
-                        Ok(template) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(template.clone());
-                        }
-                        Err(_) => continue,
-                    },
-                    InflightState::Compiling => unreachable!("woken before Finished"),
-                }
+                // Its compiler failed or panicked: retry from scratch.
+                self.retire(&key, &slot);
+                continue;
             }
-            // We own the compile. Re-check the store first: a concurrent
-            // compiler may have published between our miss and our claim
-            // (store insert happens before slot removal, so seeing the
-            // vacant slot implies the insert is visible).
-            if let Some(template) = self.store.fetch(&key) {
-                self.finish_compile(&key, &slot, Ok(template.clone()));
+            let slot = Arc::new(CompileSlot::default());
+            let mut outcome = slot.lock().expect("a new slot is unlocked");
+            inflight.insert(key.clone(), Arc::clone(&slot));
+            drop(inflight);
+            // Re-check the store: a compiler may have published between
+            // our miss and our claim (it inserts before it retires its
+            // slot).
+            let result = if let Some(template) = self.store.fetch(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(template);
-            }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut guard = CompileGuard {
-                cache: self,
-                key: &key,
-                slot: &slot,
-                armed: true,
+                Ok(template)
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let result = CompiledTemplate::compile(representative, layers, device, options);
+                if let Ok(template) = &result {
+                    self.store.insert(&key, template);
+                }
+                result
             };
-            let result = CompiledTemplate::compile(representative, layers, device, options);
-            if let Ok(template) = &result {
-                self.store.insert(&key, template);
-            }
-            guard.armed = false;
-            self.finish_compile(&key, &slot, result.clone());
+            *outcome = Some(result.clone());
+            drop(outcome);
+            self.retire(&key, &slot);
             return result;
         }
     }
 
-    /// Publishes a compile outcome: waiters wake with the result and the
-    /// key's slot is retired (a later failure retry gets a fresh one).
-    fn finish_compile(
-        &self,
-        key: &TemplateKey,
-        slot: &Arc<InflightCompile>,
-        result: Result<CompiledTemplate, FqError>,
-    ) {
-        {
-            let mut state = slot
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            *state = InflightState::Finished(Box::new(result));
-        }
-        slot.done.notify_all();
-        let mut inflight = self
-            .inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // Remove only our own slot — a concurrent retry may already have
-        // replaced it.
+    /// Unmaps `slot` unless a retry has already replaced it.
+    fn retire(&self, key: &TemplateKey, slot: &Arc<CompileSlot>) {
+        let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         if inflight.get(key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
             inflight.remove(key);
         }
@@ -666,10 +518,12 @@ mod tests {
         let cfg = FrozenQubitsConfig::with_frozen(3);
         let plan = plan_execution(&model, &Device::ibm_montreal(), &cfg).unwrap();
         assert_eq!(plan.num_branches(), 4);
-        assert_eq!(plan.num_templates(), 1);
         for b in 0..plan.num_branches() {
             assert_eq!(plan.branch_weight(b), 2.0);
-            assert!(std::ptr::eq(plan.template_for(b), &plan.templates()[0]));
+            assert!(plan
+                .template()
+                .edit_for(plan.branch(b).problem.model())
+                .is_ok());
         }
     }
 
@@ -747,6 +601,137 @@ mod tests {
         assert_eq!(s.len, 1);
     }
 
+    /// A test store over a [`MemoryStore`]. Every fetch pauses, so the
+    /// concurrent plans of one key meet at its compile slot instead of
+    /// compiling one after another; an armed store panics in its first
+    /// insert, as a compile that unwinds after claiming its key.
+    #[derive(Debug, Default)]
+    struct ProbeStore {
+        inner: MemoryStore,
+        fetch_pause: std::time::Duration,
+        insert_panics: std::sync::atomic::AtomicBool,
+    }
+
+    impl ProbeStore {
+        fn pausing() -> ProbeStore {
+            ProbeStore {
+                fetch_pause: std::time::Duration::from_millis(5),
+                ..ProbeStore::default()
+            }
+        }
+    }
+
+    impl TemplateStore for ProbeStore {
+        fn fetch(&self, key: &TemplateKey) -> Option<CompiledTemplate> {
+            std::thread::sleep(self.fetch_pause);
+            self.inner.fetch(key)
+        }
+
+        fn insert(&self, key: &TemplateKey, template: &CompiledTemplate) {
+            assert!(
+                !self.insert_panics.swap(false, Ordering::SeqCst),
+                "injected insert panic"
+            );
+            self.inner.insert(key, template);
+        }
+
+        fn fetch_fingerprint(&self, fingerprint: &str) -> Option<TemplateArtifact> {
+            self.inner.fetch_fingerprint(fingerprint)
+        }
+
+        fn index(&self) -> Vec<TemplateIndexEntry> {
+            self.inner.index()
+        }
+
+        fn stats(&self) -> CacheStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn a_failing_key_is_never_cached() {
+        // 30 variables never fit Montreal's 27 qubits: every compile of
+        // this key fails, and every request that returns the failure
+        // compiled once itself.
+        let model = ba_model(30, 1);
+        let cfg = FrozenQubitsConfig::with_frozen(0);
+        let device = Device::ibm_montreal();
+        let too_wide = FqError::Transpile(fq_transpile::TranspileError::CircuitTooWide {
+            needed: 30,
+            available: 27,
+        });
+        let cache = TemplateCache::with_store(Box::new(ProbeStore::pausing()));
+        for _ in 0..2 {
+            let error = plan_execution_cached(&model, &device, &cfg, &cache).unwrap_err();
+            assert_eq!(error, too_wide);
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (0, 2));
+
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let plans: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        plan_execution_cached(&model, &device, &cfg, &cache)
+                    })
+                })
+                .collect();
+            for plan in plans {
+                assert_eq!(plan.join().unwrap().unwrap_err(), too_wide);
+            }
+        });
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (0, 10, 0));
+    }
+
+    #[test]
+    fn a_panicking_compile_does_not_wedge_its_key() {
+        let model = ba_model(12, 2);
+        let cfg = FrozenQubitsConfig::with_frozen(2);
+        let device = Device::ibm_montreal();
+        let plan = |cache: &TemplateCache| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan_execution_cached(&model, &device, &cfg, cache)
+            }))
+        };
+
+        // Alone: the panicking plan unwinds, and the next plan of the
+        // key compiles and succeeds.
+        let armed = || ProbeStore {
+            insert_panics: true.into(),
+            ..ProbeStore::pausing()
+        };
+        let cache = TemplateCache::with_store(Box::new(armed()));
+        assert!(plan(&cache).is_err(), "the first plan unwinds");
+        assert!(plan(&cache).unwrap().is_ok());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (0, 2, 1));
+
+        // Raced: one plan unwinds and every waiter finishes; one more
+        // compile serves them all.
+        let cache = TemplateCache::with_store(Box::new(armed()));
+        let start = std::sync::Barrier::new(8);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let plans: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        plan(&cache).map(|planned| planned.is_ok())
+                    })
+                })
+                .collect();
+            plans.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
+        assert!(outcomes.iter().flatten().all(|&ok| ok), "{outcomes:?}");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.len), (6, 2, 1));
+        assert!(plan(&cache).unwrap().is_ok());
+        assert_eq!(cache.stats().hits, 7);
+    }
+
     #[test]
     fn zero_capacity_disables_caching() {
         let model = ba_model(8, 9);
@@ -774,7 +759,7 @@ mod tests {
         let cfg = FrozenQubitsConfig::with_frozen(0);
         let plan = plan_execution(&model, &Device::ibm_montreal(), &cfg).unwrap();
         assert_eq!(plan.num_branches(), 1);
-        assert_eq!(plan.num_templates(), 1);
+        assert_eq!(plan.template().compiled().logical_qubits, 8);
         assert_eq!(plan.branch_weight(0), 1.0);
         assert!(plan.frozen_qubits().is_empty());
         assert_eq!(plan.branch(0).problem.model(), &model);
@@ -787,7 +772,13 @@ mod tests {
         let cfg = FrozenQubitsConfig::with_frozen(2);
         let plan = plan_execution(&model, &Device::ibm_montreal(), &cfg).unwrap();
         assert_eq!(plan.num_branches(), 4, "no pruning without symmetry");
-        assert_eq!(plan.num_templates(), 1, "branches still share the shape");
+        for b in 0..4 {
+            let sibling = plan.branch(b).problem.model();
+            assert!(
+                plan.template().edit_for(sibling).is_ok(),
+                "branches still share the shape"
+            );
+        }
         assert!((0..4).all(|b| plan.branch_weight(b) == 1.0));
     }
 }

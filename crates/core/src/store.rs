@@ -1,30 +1,25 @@
-//! Tiered storage behind the template cache: compiled templates as
-//! **portable artifacts**.
+//! Storage behind the template cache: compiled templates as **portable
+//! artifacts**.
 //!
-//! PR 1 made a compiled template shareable across branches, PR 3 across
-//! jobs, PR 4 across HTTP clients of one process. This module makes it
-//! shareable across *processes*: a [`TemplateArtifact`] is a versioned,
+//! One compiled template serves every branch of a plan, and a
+//! [`TemplateCache`](crate::TemplateCache) shares it across the jobs of
+//! a batch and the clients of a shard. This module makes it shareable
+//! across *processes*: a [`TemplateArtifact`] is a versioned,
 //! fingerprint-addressed document (key + template, canonical JSON) that
 //! can spill to disk and travel between shards, so restarts and sibling
 //! workers start warm instead of recompiling every shape.
 //!
-//! The pieces compose:
-//!
 //! * [`TemplateStore`] — the storage seam the
 //!   [`TemplateCache`](crate::TemplateCache) compiles through. The cache
-//!   keeps the concurrency story (per-key once-compile slots, hit/miss
+//!   keeps the concurrency story (one compile slot per key, hit/miss
 //!   accounting); stores keep bytes.
-//! * [`MemoryStore`] — the in-process tier: sharded maps, optional LRU
-//!   bound, exact eviction counters (the storage half of the pre-refactor
-//!   `TemplateCache`).
-//! * [`DiskStore`] — the spill tier: one `<fingerprint>.fqt.json` file
-//!   per artifact, written temp-then-rename (atomic on POSIX renames), so
-//!   readers never observe a half-written artifact. Corrupt, truncated or
-//!   version-skewed files are treated as **misses, never errors** — the
-//!   worst a bad cache file can cause is a recompile.
-//! * [`TieredStore`] — memory over disk: write-through on insert (that is
-//!   what makes a restart warm), promote on spill-tier hit, demote on LRU
-//!   eviction.
+//! * [`MemoryStore`] — the store: sharded maps with an optional LRU
+//!   bound and exact eviction counters, over an optional spill directory
+//!   ([`MemoryStore::spill_to`]) that holds one `<fingerprint>.fqt.json`
+//!   file per artifact. Files are written temp-then-rename (atomic on
+//!   POSIX renames), so readers never observe a half-written artifact,
+//!   and corrupt, truncated or version-skewed files are **misses, never
+//!   errors** — the worst a bad cache file can cause is a recompile.
 //!
 //! Fingerprints are stable FNV-1a hashes of everything that determines
 //! the compiled artifact (sub-circuit shape, device identity and
@@ -32,7 +27,7 @@
 //! `DefaultHasher`, whose output Rust does not promise across versions;
 //! an on-disk cache and a peer shard must agree on names across builds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -90,30 +85,6 @@ impl TemplateKey {
             layers,
             options,
         }
-    }
-
-    /// The sub-circuit shape.
-    #[must_use]
-    pub fn shape(&self) -> &ShapeSignature {
-        &self.shape
-    }
-
-    /// The device name the template was compiled for.
-    #[must_use]
-    pub fn device_name(&self) -> &str {
-        &self.device
-    }
-
-    /// The QAOA layer count.
-    #[must_use]
-    pub fn layers(&self) -> usize {
-        self.layers
-    }
-
-    /// The compile options.
-    #[must_use]
-    pub fn options(&self) -> CompileOptions {
-        self.options
     }
 
     /// The stable 16-hex-digit fingerprint addressing this key's artifact
@@ -304,38 +275,39 @@ pub struct TemplateIndexEntry {
     pub last_used: u64,
 }
 
-/// Operation counters of a [`TemplateStore`].
+/// Exact operation counters of a [`TemplateStore`] and of the
+/// [`TemplateCache`](crate::TemplateCache) over it: a store fills the
+/// fields it keeps, and the cache adds `hits` and `misses`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
-pub struct StoreStats {
-    /// Templates evicted from the primary (memory) tier by its LRU bound.
+pub struct CacheStats {
+    /// Lookups served from an already-compiled template (including
+    /// lookups that waited for a concurrent in-flight compile).
+    pub hits: u64,
+    /// Lookups that had to compile (successful or not).
+    pub misses: u64,
+    /// Templates evicted from the memory tier by the LRU bound.
     pub evictions: u64,
-    /// Templates resident in the primary tier.
+    /// Templates currently resident in the memory tier.
     pub len: usize,
-    /// The primary tier's LRU bound, if one is set.
+    /// The LRU bound, if one is set.
     pub capacity: Option<usize>,
-    /// Artifacts written to the spill tier.
+    /// Artifacts written to the spill tier (0 without one).
     pub spills: u64,
-    /// Spill-tier hits promoted into the primary tier.
+    /// Spill-tier hits promoted back into the memory tier.
     pub promotions: u64,
     /// Artifacts resident in the spill tier.
     pub spill_len: usize,
-}
-
-impl StoreStats {
-    /// Distinct artifacts resident across both tiers. The primary tier
+    /// Distinct artifacts resident across both tiers. The memory tier
     /// is written through to the spill tier, so the larger tier holds
     /// every artifact and one held in both counts once.
-    #[must_use]
-    pub fn resident(&self) -> usize {
-        self.len.max(self.spill_len)
-    }
+    pub resident: usize,
 }
 
 /// Where compiled templates live — the storage seam behind
 /// [`TemplateCache`](crate::TemplateCache).
 ///
-/// The cache owns concurrency (per-key once-compile slots) and hit/miss
+/// The cache owns concurrency (one compile slot per key) and hit/miss
 /// accounting; implementations own bytes. Every method is infallible by
 /// contract: a store that cannot read an entry (corrupt file, version
 /// skew, I/O error) reports a miss and a store that cannot write one
@@ -356,8 +328,8 @@ pub trait TemplateStore: Send + Sync + std::fmt::Debug {
     /// hottest first — what a peer pulls to decide its warm set.
     fn index(&self) -> Vec<TemplateIndexEntry>;
 
-    /// Exact operation counters.
-    fn stats(&self) -> StoreStats;
+    /// Exact operation counters, with `hits` and `misses` left at 0.
+    fn stats(&self) -> CacheStats;
 }
 
 // --------------------------------------------------------------------
@@ -375,9 +347,21 @@ struct MemEntry {
     last_used: AtomicU64,
 }
 
-/// The in-process tier: sharded hash maps with an optional LRU bound and
-/// exact eviction counters — the storage behavior the pre-refactor
-/// `TemplateCache` carried inline.
+/// The template store: sharded in-process maps with an optional LRU
+/// bound and exact eviction counters, over an optional spill directory
+/// (the store behind `--cache-dir`).
+///
+/// With a spill directory ([`MemoryStore::spill_to`]):
+///
+/// * **insert** writes through: the template lands on disk, then in
+///   memory, so a restarted process (or a sibling shard mounting the
+///   same directory) finds every template ever compiled, not just the
+///   ones the LRU bound happened to push out;
+/// * **fetch** promotes: a memory miss that hits the disk re-seats the
+///   template in memory (counted in [`CacheStats::promotions`]);
+/// * **LRU eviction** demotes: an evictee whose artifact file has
+///   vanished is written again, so the union of both tiers never
+///   shrinks below everything compiled.
 #[derive(Debug)]
 pub struct MemoryStore {
     shards: Vec<RwLock<HashMap<TemplateKey, MemEntry>>>,
@@ -386,6 +370,8 @@ pub struct MemoryStore {
     clock: AtomicU64,
     resident: AtomicUsize,
     evictions: AtomicU64,
+    spill: Option<DiskStore>,
+    promotions: AtomicU64,
 }
 
 impl Default for MemoryStore {
@@ -406,19 +392,37 @@ impl MemoryStore {
             clock: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
             evictions: AtomicU64::new(0),
+            spill: None,
+            promotions: AtomicU64::new(0),
         }
     }
 
-    /// An empty store holding at most `capacity` templates, evicting the
-    /// least-recently-used beyond that. `capacity = 0` disables retention
-    /// entirely (every insert is immediately evicted) — legal, but only
-    /// useful for measuring the uncached baseline.
+    /// An empty store holding at most `capacity` templates in memory,
+    /// evicting the least-recently-used beyond that. `capacity = 0`
+    /// disables retention entirely (every insert is immediately evicted)
+    /// — legal, but only useful for measuring the uncached baseline.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> MemoryStore {
         MemoryStore {
             capacity: Some(capacity),
             ..MemoryStore::new()
         }
+    }
+
+    /// The same store over a spill directory at `dir`, created if
+    /// needed: every insert is written through to it, and a later store
+    /// over the same directory starts warm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FqError::Io`] when the directory cannot be created —
+    /// the one storage error worth surfacing, because it means the
+    /// operator's `--cache-dir` can never work.
+    pub fn spill_to(self, dir: impl AsRef<Path>) -> Result<MemoryStore, FqError> {
+        Ok(MemoryStore {
+            spill: Some(DiskStore::new(dir)?),
+            ..self
+        })
     }
 
     fn shard_of(&self, key: &TemplateKey) -> usize {
@@ -431,14 +435,8 @@ impl MemoryStore {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Inserts and returns whatever the LRU bound evicted to make room —
-    /// the hook [`TieredStore`] uses to demote evictees to its spill
-    /// tier.
-    pub(crate) fn insert_evicting(
-        &self,
-        key: &TemplateKey,
-        template: &CompiledTemplate,
-    ) -> Vec<(TemplateKey, CompiledTemplate)> {
+    /// Seats `template` in memory, then enforces the LRU bound.
+    fn insert_memory(&self, key: &TemplateKey, template: &CompiledTemplate) {
         let stamp = self.stamp();
         let entry = MemEntry {
             template: template.clone(),
@@ -454,16 +452,16 @@ impl MemoryStore {
         if !replaced {
             self.resident.fetch_add(1, Ordering::Relaxed);
         }
-        self.enforce_capacity()
+        self.enforce_capacity();
     }
 
     /// Evicts least-recently-used templates until the resident count
-    /// respects the bound, returning the evicted pairs.
-    fn enforce_capacity(&self) -> Vec<(TemplateKey, CompiledTemplate)> {
+    /// respects the bound, demoting each evictee to the spill tier when
+    /// its artifact file has vanished.
+    fn enforce_capacity(&self) {
         let Some(capacity) = self.capacity else {
-            return Vec::new();
+            return;
         };
-        let mut evicted = Vec::new();
         while self.resident.load(Ordering::Relaxed) > capacity {
             let mut victim: Option<(u64, usize, TemplateKey)> = None;
             for (si, shard) in self.shards.iter().enumerate() {
@@ -476,33 +474,49 @@ impl MemoryStore {
                 }
             }
             let Some((_, si, key)) = victim else {
-                return evicted;
+                return;
             };
-            let mut map = self.shards[si].write().expect("store shard lock");
             // A concurrent evictor may have removed it already; the loop
             // then simply rescans.
-            if let Some(entry) = map.remove(&key) {
+            let removed = self.shards[si]
+                .write()
+                .expect("store shard lock")
+                .remove(&key);
+            if let Some(entry) = removed {
                 self.resident.fetch_sub(1, Ordering::Relaxed);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                evicted.push((key, entry.template));
+                if let Some(disk) = &self.spill {
+                    if !disk.contains(&key.fingerprint()) {
+                        disk.write(&TemplateArtifact::new(key, entry.template));
+                    }
+                }
             }
         }
-        evicted
     }
 }
 
 impl TemplateStore for MemoryStore {
     fn fetch(&self, key: &TemplateKey) -> Option<CompiledTemplate> {
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("store shard lock");
-        let entry = map.get(key)?;
-        entry.last_used.store(self.stamp(), Ordering::Relaxed);
-        Some(entry.template.clone())
+        {
+            let map = self.shards[self.shard_of(key)]
+                .read()
+                .expect("store shard lock");
+            if let Some(entry) = map.get(key) {
+                entry.last_used.store(self.stamp(), Ordering::Relaxed);
+                return Some(entry.template.clone());
+            }
+        }
+        let template = self.spill.as_ref()?.fetch(key)?;
+        self.promotions.fetch_add(1, Ordering::Relaxed);
+        self.insert_memory(key, &template);
+        Some(template)
     }
 
     fn insert(&self, key: &TemplateKey, template: &CompiledTemplate) {
-        self.insert_evicting(key, template);
+        if let Some(disk) = &self.spill {
+            disk.write(&TemplateArtifact::new(key.clone(), template.clone()));
+        }
+        self.insert_memory(key, template);
     }
 
     fn fetch_fingerprint(&self, fingerprint: &str) -> Option<TemplateArtifact> {
@@ -514,7 +528,7 @@ impl TemplateStore for MemoryStore {
                 }
             }
         }
-        None
+        self.spill.as_ref()?.read(fingerprint)
     }
 
     fn index(&self) -> Vec<TemplateIndexEntry> {
@@ -532,21 +546,42 @@ impl TemplateStore for MemoryStore {
             })
             .collect();
         entries.sort_by_key(|e| std::cmp::Reverse(e.last_used));
+        if let Some(disk) = &self.spill {
+            // Spill-only entries follow with stamp 0 — hottest first
+            // within what one process can know.
+            let hot: HashSet<String> = entries.iter().map(|e| e.fingerprint.clone()).collect();
+            for fingerprint in disk.fingerprints() {
+                if !hot.contains(&fingerprint) {
+                    entries.push(TemplateIndexEntry {
+                        fingerprint,
+                        last_used: 0,
+                    });
+                }
+            }
+        }
         entries
     }
 
-    fn stats(&self) -> StoreStats {
-        StoreStats {
+    fn stats(&self) -> CacheStats {
+        let len = self.resident.load(Ordering::Relaxed);
+        let (spills, spill_len) = self.spill.as_ref().map_or((0, 0), |disk| {
+            (disk.spills.load(Ordering::Relaxed), disk.file_count())
+        });
+        CacheStats {
             evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.resident.load(Ordering::Relaxed),
+            len,
             capacity: self.capacity,
-            ..StoreStats::default()
+            spills,
+            promotions: self.promotions.load(Ordering::Relaxed),
+            spill_len,
+            resident: len.max(spill_len),
+            ..CacheStats::default()
         }
     }
 }
 
 // --------------------------------------------------------------------
-// DiskStore
+// The spill tier
 // --------------------------------------------------------------------
 
 /// Whether `s` is a well-formed artifact fingerprint (exactly 16
@@ -560,7 +595,8 @@ pub fn is_template_fingerprint(s: &str) -> bool {
             .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
 }
 
-/// The spill tier: one `<fingerprint>.fqt.json` artifact per file.
+/// A [`MemoryStore`]'s spill directory: one `<fingerprint>.fqt.json`
+/// artifact per file.
 ///
 /// Writes go to a temp file in the same directory and are renamed into
 /// place, so a concurrent reader (or a crash mid-write) can never observe
@@ -569,26 +605,21 @@ pub fn is_template_fingerprint(s: &str) -> bool {
 /// mismatch — are misses; writes that fail are dropped. A disk cache can
 /// cost recompiles, never correctness.
 #[derive(Debug)]
-pub struct DiskStore {
+struct DiskStore {
     dir: PathBuf,
+    /// Artifacts written.
     spills: AtomicU64,
 }
 
-/// Temp-file sequence shared by every [`DiskStore`] in the process: two
-/// stores over the same directory (e.g. two runners sharing one cache
-/// dir) must never collide on an in-flight temp name, or one could
+/// Temp-file sequence shared by every spill directory in the process:
+/// two stores over the same directory (e.g. two runners sharing one
+/// cache dir) must never collide on an in-flight temp name, or one could
 /// rename the other's half-written bytes into place.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl DiskStore {
     /// Opens (creating if needed) the spill directory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FqError::Io`] when the directory cannot be created —
-    /// the one storage error worth surfacing, because it means the
-    /// operator's `--cache-dir` can never work.
-    pub fn new(dir: impl AsRef<Path>) -> Result<DiskStore, FqError> {
+    fn new(dir: impl AsRef<Path>) -> Result<DiskStore, FqError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)
             .map_err(|e| FqError::Io(format!("creating cache dir `{}`: {e}", dir.display())))?;
@@ -598,19 +629,13 @@ impl DiskStore {
         })
     }
 
-    /// The spill directory.
-    #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn path_of(&self, fingerprint: &str) -> PathBuf {
         self.dir.join(format!("{fingerprint}{ARTIFACT_SUFFIX}"))
     }
 
     /// Whether an artifact file for `fingerprint` exists (it may still
     /// turn out corrupt on read).
-    pub(crate) fn contains(&self, fingerprint: &str) -> bool {
+    fn contains(&self, fingerprint: &str) -> bool {
         is_template_fingerprint(fingerprint) && self.path_of(fingerprint).exists()
     }
 
@@ -623,6 +648,13 @@ impl DiskStore {
         // The filename must agree with the content (a renamed or
         // colliding file is a miss, not someone else's template).
         (artifact.fingerprint() == fingerprint).then_some(artifact)
+    }
+
+    fn fetch(&self, key: &TemplateKey) -> Option<CompiledTemplate> {
+        let artifact = self.read(&key.fingerprint())?;
+        // A fingerprint collision (or tampered file) must not hand a
+        // different shape's template to this key.
+        (artifact.key() == key).then(|| artifact.template().clone())
     }
 
     /// Writes `bytes` to `tmp` and fsyncs the file before returning.
@@ -673,161 +705,34 @@ impl DiskStore {
                 .count()
         })
     }
-}
 
-impl TemplateStore for DiskStore {
-    fn fetch(&self, key: &TemplateKey) -> Option<CompiledTemplate> {
-        let artifact = self.read(&key.fingerprint())?;
-        // A fingerprint collision (or tampered file) must not hand a
-        // different shape's template to this key.
-        (artifact.key() == key).then(|| artifact.template().clone())
-    }
-
-    fn insert(&self, key: &TemplateKey, template: &CompiledTemplate) {
-        self.write(&TemplateArtifact::new(key.clone(), template.clone()));
-    }
-
-    fn fetch_fingerprint(&self, fingerprint: &str) -> Option<TemplateArtifact> {
-        self.read(fingerprint)
-    }
-
-    fn index(&self) -> Vec<TemplateIndexEntry> {
+    /// Every artifact file's fingerprint, newest first (by modification
+    /// time in seconds, then by fingerprint).
+    fn fingerprints(&self) -> Vec<String> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return Vec::new();
         };
-        let mut out: Vec<TemplateIndexEntry> = entries
+        let mut files: Vec<(u64, String)> = entries
             .filter_map(Result::ok)
             .filter_map(|e| {
                 let name = e.file_name();
                 let fingerprint = name.to_str()?.strip_suffix(ARTIFACT_SUFFIX)?.to_string();
                 is_template_fingerprint(&fingerprint).then(|| {
-                    // Recency from mtime, comparable within this listing.
-                    let last_used = e
+                    let modified = e
                         .metadata()
                         .ok()
                         .and_then(|m| m.modified().ok())
                         .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
                         .map_or(0, |d| d.as_secs());
-                    TemplateIndexEntry {
-                        fingerprint,
-                        last_used,
-                    }
+                    (modified, fingerprint)
                 })
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.last_used
-                .cmp(&a.last_used)
-                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-        });
-        out
-    }
-
-    fn stats(&self) -> StoreStats {
-        let files = self.file_count();
-        StoreStats {
-            len: files,
-            spills: self.spills.load(Ordering::Relaxed),
-            spill_len: files,
-            ..StoreStats::default()
-        }
-    }
-}
-
-// --------------------------------------------------------------------
-// TieredStore
-// --------------------------------------------------------------------
-
-/// Memory over disk: the tier composition behind `--cache-dir`.
-///
-/// * **insert** writes through: the template lands in memory *and* on
-///   disk, so a restarted process (or a sibling shard mounting the same
-///   directory) finds every template ever compiled, not just the ones
-///   the LRU bound happened to push out.
-/// * **fetch** promotes: a memory miss that hits the spill tier re-seats
-///   the template in memory (counted in
-///   [`StoreStats::promotions`]).
-/// * **LRU eviction** demotes: templates the memory bound pushes out are
-///   (re-)spilled if their artifact file has vanished, so the union of
-///   both tiers never shrinks below everything compiled.
-#[derive(Debug)]
-pub struct TieredStore {
-    memory: MemoryStore,
-    disk: DiskStore,
-    promotions: AtomicU64,
-}
-
-impl TieredStore {
-    /// Composes a memory tier over a disk spill tier.
-    #[must_use]
-    pub fn new(memory: MemoryStore, disk: DiskStore) -> TieredStore {
-        TieredStore {
-            memory,
-            disk,
-            promotions: AtomicU64::new(0),
-        }
-    }
-
-    fn demote(&self, evicted: Vec<(TemplateKey, CompiledTemplate)>) {
-        for (key, template) in evicted {
-            if !self.disk.contains(&key.fingerprint()) {
-                self.disk.insert(&key, &template);
-            }
-        }
-    }
-}
-
-impl TemplateStore for TieredStore {
-    fn fetch(&self, key: &TemplateKey) -> Option<CompiledTemplate> {
-        if let Some(template) = self.memory.fetch(key) {
-            return Some(template);
-        }
-        let template = self.disk.fetch(key)?;
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.demote(self.memory.insert_evicting(key, &template));
-        Some(template)
-    }
-
-    fn insert(&self, key: &TemplateKey, template: &CompiledTemplate) {
-        self.disk.insert(key, template);
-        self.demote(self.memory.insert_evicting(key, template));
-    }
-
-    fn fetch_fingerprint(&self, fingerprint: &str) -> Option<TemplateArtifact> {
-        self.memory
-            .fetch_fingerprint(fingerprint)
-            .or_else(|| self.disk.fetch_fingerprint(fingerprint))
-    }
-
-    fn index(&self) -> Vec<TemplateIndexEntry> {
-        // Memory entries first (logical-clock recency), then spill-only
-        // entries with stamp 0 — hottest-first within what one process
-        // can know.
-        let mut entries = self.memory.index();
-        let hot: std::collections::HashSet<String> =
-            entries.iter().map(|e| e.fingerprint.clone()).collect();
-        for e in self.disk.index() {
-            if !hot.contains(&e.fingerprint) {
-                entries.push(TemplateIndexEntry {
-                    fingerprint: e.fingerprint,
-                    last_used: 0,
-                });
-            }
-        }
-        entries
-    }
-
-    fn stats(&self) -> StoreStats {
-        let memory = self.memory.stats();
-        let disk = self.disk.stats();
-        StoreStats {
-            evictions: memory.evictions,
-            len: memory.len,
-            capacity: memory.capacity,
-            spills: disk.spills,
-            promotions: self.promotions.load(Ordering::Relaxed),
-            spill_len: disk.spill_len,
-        }
+        files.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        files
+            .into_iter()
+            .map(|(_, fingerprint)| fingerprint)
+            .collect()
     }
 }
 
@@ -868,7 +773,7 @@ mod tests {
         let relaxed = TemplateKey {
             options: CompileOptions {
                 optimize: false,
-                ..key.options()
+                ..key.options
             },
             ..key.clone()
         };
@@ -904,7 +809,7 @@ mod tests {
     #[test]
     fn disk_store_spills_and_restores() {
         let dir = temp_dir("spill");
-        let disk = DiskStore::new(&dir).unwrap();
+        let disk = MemoryStore::new().spill_to(&dir).unwrap();
         let (key, template) = key_and_template(8, 4);
         assert!(disk.fetch(&key).is_none());
         disk.insert(&key, &template);
@@ -912,7 +817,7 @@ mod tests {
         assert_eq!(disk.stats().spill_len, 1);
 
         // A second store over the same directory (the "restart") sees it.
-        let restarted = DiskStore::new(&dir).unwrap();
+        let restarted = MemoryStore::new().spill_to(&dir).unwrap();
         assert_eq!(restarted.fetch(&key).unwrap(), template);
         let index = restarted.index();
         assert_eq!(index.len(), 1);
@@ -927,7 +832,8 @@ mod tests {
     #[test]
     fn disk_store_treats_damage_as_misses() {
         let dir = temp_dir("damage");
-        let disk = DiskStore::new(&dir).unwrap();
+        // A memory tier that retains nothing: every read is the disk's.
+        let disk = MemoryStore::with_capacity(0).spill_to(&dir).unwrap();
         let (key, template) = key_and_template(8, 5);
         disk.insert(&key, &template);
         let path = dir.join(format!("{}{ARTIFACT_SUFFIX}", key.fingerprint()));
@@ -955,7 +861,7 @@ mod tests {
         // metadata anyway, a zero-length or truncated `.fqt.json`.
         // Both must read as misses and a rewrite must heal them.
         let dir = temp_dir("crash");
-        let disk = DiskStore::new(&dir).unwrap();
+        let disk = MemoryStore::with_capacity(0).spill_to(&dir).unwrap();
         let (key, template) = key_and_template(8, 7);
         let path = dir.join(format!("{}{ARTIFACT_SUFFIX}", key.fingerprint()));
 
@@ -992,7 +898,7 @@ mod tests {
         let (key_a, template_a) = key_and_template(8, 6);
         let (key_b, template_b) = key_and_template(10, 6);
         // A 1-slot memory tier: inserting B evicts (demotes) A.
-        let store = TieredStore::new(MemoryStore::with_capacity(1), DiskStore::new(&dir).unwrap());
+        let store = MemoryStore::with_capacity(1).spill_to(&dir).unwrap();
         store.insert(&key_a, &template_a);
         store.insert(&key_b, &template_b);
         let s = store.stats();
@@ -1013,7 +919,7 @@ mod tests {
     #[test]
     fn zero_capacity_memory_still_serves_through_disk() {
         let dir = temp_dir("zero-mem");
-        let store = TieredStore::new(MemoryStore::with_capacity(0), DiskStore::new(&dir).unwrap());
+        let store = MemoryStore::with_capacity(0).spill_to(&dir).unwrap();
         let (key, template) = key_and_template(8, 7);
         store.insert(&key, &template);
         assert_eq!(store.stats().len, 0, "memory retains nothing");
@@ -1027,6 +933,6 @@ mod tests {
         // fingerprint (the exhaustive layout match above).
         let cfg = FrozenQubitsConfig::default();
         let (key, _) = key_and_template(8, 8);
-        assert_eq!(key.options(), cfg.compile);
+        assert_eq!(key.options, cfg.compile);
     }
 }

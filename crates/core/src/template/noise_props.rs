@@ -111,7 +111,7 @@ fn shared_tables_equal_per_branch_tables_bit_for_bit() {
         let mut first: Option<Arc<NoiseTables>> = None;
         for b in 0..plan.num_branches() {
             let model = plan.branch(b).problem.model();
-            let template = plan.template_for(b);
+            let template = plan.template();
             let edited = template.edit_for(model).expect("sibling fits its template");
             let full = template
                 .noise_tables(model, case.p, &case.device, usize::MAX)
@@ -146,10 +146,8 @@ fn shared_tables_equal_per_branch_tables_bit_for_bit() {
             assert_eq!(fid_bits(&global.fid), fid_bits(&full.fid));
             assert_eq!(global.eps_log.to_bits(), full.eps_log.to_bits());
             assert_eq!(metric_bits(&global.metrics), metric_bits(&full.metrics));
-            if plan.num_templates() == 1 {
-                let shared = first.get_or_insert_with(|| Arc::clone(&full));
-                assert!(Arc::ptr_eq(shared, &full), "branch {b} rebuilt the tables");
-            }
+            let shared = first.get_or_insert_with(|| Arc::clone(&full));
+            assert!(Arc::ptr_eq(shared, &full), "branch {b} rebuilt the tables");
         }
     });
 }
@@ -178,10 +176,10 @@ fn missing_gamma_term_fails_the_exact_path_like_edit_for() {
             cfg.compile,
         );
         let cache = TemplateCache::new();
-        cache.insert_artifact(&TemplateArtifact::new(key, wide.template_for(0).clone()));
+        cache.insert_artifact(&TemplateArtifact::new(key, wide.template().clone()));
         let plan = plan_execution_cached(&smaller, &case.device, &cfg, &cache).unwrap();
 
-        let expected = plan.template_for(0).edit_for(&smaller).unwrap_err();
+        let expected = plan.template().edit_for(&smaller).unwrap_err();
         assert!(
             matches!(
                 expected,

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use frozenqubits::{
-    CompiledTemplate, StoreStats, TemplateArtifact, TemplateIndexEntry, TemplateKey, TemplateStore,
+    CacheStats, CompiledTemplate, TemplateArtifact, TemplateIndexEntry, TemplateKey, TemplateStore,
 };
 
 use crate::plan::{FaultKind, FaultPlan, FaultSite};
@@ -89,7 +89,7 @@ impl TemplateStore for FaultyStore {
         self.inner.index()
     }
 
-    fn stats(&self) -> StoreStats {
+    fn stats(&self) -> CacheStats {
         self.inner.stats()
     }
 }

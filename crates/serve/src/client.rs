@@ -40,6 +40,8 @@ use fq_faults::{FaultKind, FaultPlan, FaultSite};
 use frozenqubits::{FqError, JobId, JobResult, JobSpec, TemplateArtifact, TemplateCache};
 use serde::json::Value;
 
+use crate::http::{self, ReadError};
+
 /// How long the client waits for a response before giving up.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(300);
 
@@ -310,37 +312,28 @@ fn request_bytes(
 
 /// Reads one `content-length`-framed response. Returns the response
 /// and whether the server asked to close.
+///
+/// The head goes through the same bounded line reader and header loop
+/// as a request's ([`http::read_line`], [`http::read_headers`]), so a
+/// broken or hostile peer cannot grow the reader's memory ahead of the
+/// body cap.
 fn read_framed_response(reader: &mut impl BufRead) -> Result<(HttpResponse, bool), FqError> {
     let truncated =
         |at: &str| FqError::Io(format!("truncated HTTP response: connection closed {at}"));
     let bad = |msg: &str| FqError::Serde(format!("malformed HTTP response: {msg}"));
+    let head_error = |error: ReadError| match error {
+        ReadError::Closed => truncated("before the status line"),
+        ReadError::BadRequest(msg) => bad(&msg),
+        other => FqError::Io(format!("truncated HTTP response: {}", other.message())),
+    };
 
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(truncated("before the status line"));
-    }
-    let status_line = status_line.trim_end();
+    let status_line = http::read_line(reader, true).map_err(head_error)?;
     let status = status_line
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| bad(&format!("unparsable status line `{status_line}`")))?;
-
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(truncated("mid-headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad(&format!("malformed header `{line}`")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
+    let headers = http::read_headers(reader).map_err(head_error)?;
 
     let length = match headers.iter().find(|(n, _)| n == "content-length") {
         Some((_, v)) => v

@@ -177,15 +177,17 @@ impl<R: Read> Read for DeadlineReader<R> {
     }
 }
 
-/// Reads one CRLF (or bare-LF) terminated line, without the terminator.
-/// `first` marks the request line, where EOF/timeout mean a clean close
-/// rather than a truncated request.
-fn read_line(reader: &mut impl BufRead, first: bool) -> Result<String, ReadError> {
+/// Reads one CRLF (or bare-LF) terminated line of at most
+/// [`MAX_LINE_BYTES`], without the terminator. `first` marks a head's
+/// first line (request or status line), where EOF/timeout mean a clean
+/// close rather than a truncated message. Requests and responses share
+/// it, so neither direction buffers an unbounded line.
+pub(crate) fn read_line(reader: &mut impl BufRead, first: bool) -> Result<String, ReadError> {
     let mut raw = Vec::new();
     let mut limited = reader.take(MAX_LINE_BYTES as u64 + 1);
     match limited.read_until(b'\n', &mut raw) {
         Ok(0) if first && raw.is_empty() => return Err(ReadError::Closed),
-        Ok(0) => return Err(ReadError::Truncated("connection closed mid-request".into())),
+        Ok(0) => return Err(ReadError::Truncated("connection closed mid-head".into())),
         Ok(_) if raw.last() != Some(&b'\n') => {
             return if raw.len() > MAX_LINE_BYTES {
                 Err(ReadError::BadRequest(format!(
@@ -198,7 +200,7 @@ fn read_line(reader: &mut impl BufRead, first: bool) -> Result<String, ReadError
         Ok(_) => {}
         Err(e) if timed_out(&e) && first && raw.is_empty() => return Err(ReadError::IdleTimeout),
         Err(e) if timed_out(&e) => {
-            return Err(ReadError::Truncated("read timed out mid-request".into()))
+            return Err(ReadError::Truncated("read timed out mid-head".into()))
         }
         Err(e) => return Err(ReadError::Truncated(format!("read failed: {e}"))),
     }
@@ -206,6 +208,38 @@ fn read_line(reader: &mut impl BufRead, first: bool) -> Result<String, ReadError
         raw.pop();
     }
     String::from_utf8(raw).map_err(|_| ReadError::BadRequest("line is not valid UTF-8".into()))
+}
+
+/// Reads a head's header lines through the blank line that ends it: at
+/// most [`MAX_HEADERS`] of them, each through [`read_line`], with names
+/// lower-cased and values trimmed. Requests and responses share it.
+pub(crate) fn read_headers(reader: &mut impl BufRead) -> Result<Vec<(String, String)>, ReadError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = read_line(reader, false)?;
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        if headers.len() >= MAX_HEADERS {
+            return Err(ReadError::BadRequest(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
+        }
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(ReadError::BadRequest(format!("malformed header `{line}`")));
+        };
+        // RFC 9112 §5.1: no whitespace between the field name and the
+        // colon (`Content-Length : 44` must be rejected, not honored —
+        // a proxy that ignores it would disagree with us on the body
+        // length), and leading whitespace would be obs-fold
+        // continuation, which this framing does not speak either.
+        if name.is_empty() || name != name.trim() {
+            return Err(ReadError::BadRequest(format!(
+                "whitespace around header name in `{line}`"
+            )));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+    }
 }
 
 /// Reads and validates one request. `max_body` bounds the accepted
@@ -226,33 +260,7 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
         other => return Err(ReadError::VersionNotSupported(other.into())),
     }
 
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader, false)?;
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(ReadError::BadRequest(format!(
-                "more than {MAX_HEADERS} headers"
-            )));
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(ReadError::BadRequest(format!("malformed header `{line}`")));
-        };
-        // RFC 9112 §5.1: no whitespace between the field name and the
-        // colon (`Content-Length : 44` must be rejected, not honored —
-        // a proxy that ignores it would disagree with us on the body
-        // length), and leading whitespace would be obs-fold
-        // continuation, which this server does not speak either.
-        if name.is_empty() || name != name.trim() {
-            return Err(ReadError::BadRequest(format!(
-                "whitespace around header name in `{line}`"
-            )));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-
+    let headers = read_headers(reader)?;
     let find = |name: &str| {
         headers
             .iter()

@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use fq_faults::{FaultPlan, FaultyStore};
 use frozenqubits::{
-    BatchRunner, DiskStore, FqError, JobResult, JobSpec, MemoryStore, QosTier, TemplateArtifact,
-    TemplateStore, TieredStore,
+    BatchRunner, FqError, JobResult, JobSpec, MemoryStore, QosTier, TemplateArtifact, TemplateStore,
 };
 use serde::json::Value;
 
@@ -70,10 +69,10 @@ pub struct ServerConfig {
     /// Optional LRU bound on the shared template cache's memory tier
     /// ([`MemoryStore::with_capacity`]); `None` = unbounded.
     pub cache_capacity: Option<usize>,
-    /// When set, compiled templates spill to (and warm-start from) this
-    /// directory through a [`TieredStore`]: every compile is written
-    /// through to disk, restarts find it there, and the LRU bound (if
-    /// any) demotes instead of discarding. `None` = memory only.
+    /// When set, the template store spills to (and warm-starts from)
+    /// this directory ([`MemoryStore::spill_to`]): every compile is
+    /// written through to disk, restarts find it there, and the LRU bound
+    /// (if any) demotes instead of discarding. `None` = memory only.
     pub cache_dir: Option<String>,
     /// When set, pull the peer shard's hottest templates into this
     /// server's store at boot (`GET /v1/templates?limit=<warm_limit>` on
@@ -212,13 +211,13 @@ impl Server {
         let memory = config
             .cache_capacity
             .map_or_else(MemoryStore::new, MemoryStore::with_capacity);
-        let store: Box<dyn TemplateStore> = match &config.cache_dir {
-            Some(dir) => Box::new(TieredStore::new(memory, DiskStore::new(dir)?)),
-            None => Box::new(memory),
+        let store = match &config.cache_dir {
+            Some(dir) => memory.spill_to(dir)?,
+            None => memory,
         };
         let runner = BatchRunner::new()
             .with_threads(1)
-            .with_store(faulted(store, config.fault_plan.as_ref()));
+            .with_store(faulted(Box::new(store), config.fault_plan.as_ref()));
         if let Some(peer) = &config.warm_from {
             // Best effort: a cold start is a performance problem, a
             // refused boot would be an availability one.

@@ -311,3 +311,37 @@ fn garbage_content_length_is_typed_serde_error() {
     assert!(matches!(error, FqError::Serde(_)), "got {error:?}");
     shard.join().unwrap();
 }
+
+/// A response head is read under the same bounds as a request head: a
+/// header line over 8 KiB is refused as malformed before it is buffered
+/// whole, so a broken or hostile peer cannot grow the reader's memory
+/// ahead of the body cap.
+#[test]
+fn oversized_response_header_line_is_typed_serde_error() {
+    let huge = "a".repeat(8 * 1024 + 1);
+    let (addr, shard) = fake_shard(vec![format!(
+        "HTTP/1.1 200 OK\r\nx-filler: {huge}\r\ncontent-length: 2\r\n\r\nok"
+    )]);
+    let mut conn = ShardConn::new(&addr);
+    match conn.request("GET", "/v1/stats", None).unwrap_err() {
+        FqError::Serde(message) => assert!(message.contains("8192 bytes"), "got `{message}`"),
+        other => panic!("expected Serde, got {other:?}"),
+    }
+    shard.join().unwrap();
+}
+
+/// More than 100 response headers are refused like more than 100
+/// request headers.
+#[test]
+fn too_many_response_headers_are_typed_serde_error() {
+    let filler: String = (0..100).map(|i| format!("x-filler-{i}: v\r\n")).collect();
+    let (addr, shard) = fake_shard(vec![format!(
+        "HTTP/1.1 200 OK\r\n{filler}content-length: 2\r\n\r\nok"
+    )]);
+    let mut conn = ShardConn::new(&addr);
+    match conn.request("GET", "/v1/stats", None).unwrap_err() {
+        FqError::Serde(message) => assert!(message.contains("100 headers"), "got `{message}`"),
+        other => panic!("expected Serde, got {other:?}"),
+    }
+    shard.join().unwrap();
+}

@@ -13,7 +13,7 @@ use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::IsingModel;
 use fq_transpile::{compile_invocations, Device};
 use frozenqubits::api::JobResult;
-use frozenqubits::{plan_execution, FrozenQubitsConfig, Job, JobKind};
+use frozenqubits::{plan_execution, FrozenQubitsConfig, Job, JobKind, ShapeSignature};
 
 fn run(
     model: &IsingModel,
@@ -33,7 +33,11 @@ fn one_compile_per_distinct_sub_shape() {
     for m in 1..=3usize {
         let cfg = FrozenQubitsConfig::with_frozen(m);
         let plan = plan_execution(&model, &device, &cfg).unwrap();
-        assert_eq!(plan.num_templates(), 1, "m={m}: one distinct sub-shape");
+        let shape = ShapeSignature::of(plan.branch(0).problem.model());
+        for b in 1..plan.num_branches() {
+            let sibling = ShapeSignature::of(plan.branch(b).problem.model());
+            assert_eq!(sibling, shape, "m={m}: one distinct sub-shape");
+        }
 
         let before = compile_invocations();
         let (summary, _) = run(&model, &device, &cfg, JobKind::Frozen)

@@ -6,9 +6,15 @@
 //! proptest strategies described: `n ∈ [2, 9]` variables, up to
 //! `n(n−1)/2` random couplings in `[−2, 2]`, optional linear terms in
 //! `[−1.5, 1.5]`, a random offset, and a random freeze set.
+//!
+//! The compile-once property runs over generated Barabási–Albert
+//! (`d ∈ {1, 2, 3}`) and 3-regular models instead, the graph families
+//! the paper freezes.
 
+use fq_graphs::{gen, to_ising_pm1};
 use fq_ising::symmetry::{is_spin_flip_symmetric, verify_spin_flip_symmetry};
 use fq_ising::{enumerate_subproblems, IsingModel, Qubo, Spin, SpinVec};
+use frozenqubits::{partition_problem, select_hotspots, HotspotStrategy, ShapeSignature};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -179,4 +185,79 @@ fn exact_solver_is_exact() {
         assert!((sol.energy - best).abs() < 1e-9);
         assert!((model.energy(&sol.best).expect("width") - sol.energy).abs() < 1e-9);
     });
+}
+
+const SHAPE_CASES: u64 = 256;
+
+/// Compile once (§3.7.1): freezing changes only linear terms and the
+/// offset, so every executed branch of a partition has branch 0's
+/// [`ShapeSignature`], and branch 0 is the all-UP freeze (mask 0) that
+/// `Job::unit_fingerprints` names. A plan's one template rests on this,
+/// under every hotspot strategy, with and without linear terms and
+/// symmetry pruning, for every `m ≤ 5`.
+#[test]
+fn every_branch_shares_branch_zeros_shape() {
+    let mut partitions = 0usize;
+    for case in 0..SHAPE_CASES {
+        let mut rng = StdRng::seed_from_u64(0x5A_4E ^ case);
+        let graph = match rng.random_range(0..4usize) {
+            3 => {
+                let n = 2 * rng.random_range(3..=12usize);
+                gen::random_regular(n, 3, case).expect("3-regular graph")
+            }
+            d => {
+                let n = rng.random_range(d + 6..=24usize);
+                gen::barabasi_albert(n, d + 1, case).expect("BA graph")
+            }
+        };
+        let mut model = to_ising_pm1(&graph, case);
+        if case % 2 == 1 {
+            for i in 0..model.num_vars() {
+                if rng.random() {
+                    model
+                        .set_linear(i, rng.random_range(-1.5..1.5))
+                        .expect("index in range");
+                }
+            }
+        }
+        for m in 0..=5usize {
+            let mut explicit: Vec<usize> = Vec::new();
+            while explicit.len() < m {
+                let q = rng.random_range(0..model.num_vars());
+                if !explicit.contains(&q) {
+                    explicit.push(q);
+                }
+            }
+            let strategies = [
+                HotspotStrategy::MaxDegree,
+                HotspotStrategy::MaxAbsCoupling,
+                HotspotStrategy::Random(case),
+                HotspotStrategy::Explicit(explicit),
+            ];
+            for strategy in &strategies {
+                let hotspots = select_hotspots(&model, m, strategy).expect("m < n");
+                for prune in [false, true] {
+                    let partition =
+                        partition_problem(&model, &hotspots, prune).expect("valid freeze");
+                    let first = &partition.executed[0];
+                    assert_eq!(first.mask, 0, "case {case}: branch 0 is mask 0");
+                    assert!(
+                        first.problem.frozen().iter().all(|&(_, s)| s == Spin::UP),
+                        "case {case}: branch 0 freezes every hotspot UP"
+                    );
+                    let shape = ShapeSignature::of(first.problem.model());
+                    for exec in &partition.executed[1..] {
+                        assert_eq!(
+                            ShapeSignature::of(exec.problem.model()),
+                            shape,
+                            "case {case}, m = {m}, {strategy:?}, prune {prune}: mask {}",
+                            exec.mask
+                        );
+                    }
+                    partitions += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(partitions, SHAPE_CASES as usize * 6 * 4 * 2);
 }

@@ -5,7 +5,7 @@
 //!   `CompileOptions` combination;
 //! * a truncated / corrupted / version-skewed on-disk entry is a silent
 //!   recompile (a miss), never a panic or a wrong answer;
-//! * the tiered store promotes on hit, demotes on eviction, and a
+//! * a spill-backed store promotes on hit, demotes on eviction, and a
 //!   second runner over the same directory serves repeat batches from
 //!   its own cache without new misses.
 //!
@@ -17,10 +17,7 @@
 use fq_ising::Spin;
 use fq_transpile::{CompileOptions, Device, LayoutStrategy};
 use frozenqubits::api::{BatchRunner, DeviceSpec, JobBuilder, JobSpec};
-use frozenqubits::{
-    CompiledTemplate, DiskStore, MemoryStore, ShapeSignature, TemplateArtifact, TemplateKey,
-    TieredStore,
-};
+use frozenqubits::{CompiledTemplate, MemoryStore, ShapeSignature, TemplateArtifact, TemplateKey};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -154,8 +151,7 @@ fn second_runner_over_the_same_dir_starts_warm() {
 #[test]
 fn bounded_memory_tier_demotes_and_keeps_serving() {
     let dir = temp_dir("demote");
-    let disk = DiskStore::new(&dir).unwrap();
-    let store = TieredStore::new(MemoryStore::with_capacity(1), disk);
+    let store = MemoryStore::with_capacity(1).spill_to(&dir).unwrap();
     let runner = BatchRunner::new().with_store(Box::new(store));
     let specs = vec![frozen_spec(10, 8), frozen_spec(12, 8)];
     let first = runner.run_all(&specs).unwrap();
